@@ -1240,7 +1240,7 @@ mod tests {
     }
 
     #[test]
-    fn select_eq_const_matches_row_path() {
+    fn select_eq_const_matches_relation_ops() {
         let r = profs();
         let c = ColumnRel::from_relation(&r);
         let idx = c.select_eq_const(2, &Value::text("Full"));
@@ -1258,7 +1258,7 @@ mod tests {
     }
 
     #[test]
-    fn select_eq_cols_matches_row_path() {
+    fn select_eq_cols_matches_relation_ops() {
         let r = Relation::from_rows(
             vec!["A", "B"],
             vec![
@@ -1284,7 +1284,7 @@ mod tests {
     }
 
     #[test]
-    fn join_matches_row_path() {
+    fn join_matches_relation_ops() {
         let courses = Relation::from_rows(
             vec!["CoursePage.URL", "CoursePage.CName", "CoursePage.ToProf"],
             vec![
@@ -1306,7 +1306,7 @@ mod tests {
     }
 
     #[test]
-    fn unnest_matches_row_path() {
+    fn unnest_matches_relation_ops() {
         let r = depts();
         let c = ColumnRel::from_relation(&r);
         let fields = vec!["PName".to_string(), "ToProf".to_string()];
@@ -1397,7 +1397,7 @@ mod tests {
     }
 
     #[test]
-    fn to_table_matches_row_path_byte_for_byte() {
+    fn to_table_matches_relation_ops_byte_for_byte() {
         for r in [profs(), depts()] {
             let c = ColumnRel::from_relation(&r);
             assert_eq!(c.to_table(), r.to_table());

@@ -25,7 +25,7 @@
 use crate::cache::SharedPageCache;
 use crate::error::EvalError;
 use crate::expr::{field_of_column, NalgExpr, Pred};
-use crate::fetch::FetchPool;
+use crate::fetch::{FetchOutcome, FetchPool};
 use crate::Result;
 use adm::{
     ColumnData, ColumnRel, ColumnRelBuilder, InclusionConstraint, LinkConstraint, Relation, Symbol,
@@ -288,7 +288,6 @@ impl EvalReport {
 pub struct Evaluator<'a, S: PageSource> {
     ws: &'a WebScheme,
     source: &'a S,
-    cache_enabled: bool,
     fetch_workers: usize,
     shared: Option<&'a SharedPageCache>,
     degradation: DegradationMode,
@@ -305,10 +304,6 @@ pub struct Evaluator<'a, S: PageSource> {
     /// events) nest under — set by the serving layer so a whole
     /// evaluation hangs off its request's root span.
     trace_parent: Option<u64>,
-    /// When true (the default) operators run on interned, columnar
-    /// [`ColumnRel`] batches; [`Evaluator::row_path`] pins the
-    /// row-at-a-time reference implementation instead.
-    columnar: bool,
     /// The evaluation's wall-clock budget. Infinite (never fires) by
     /// default; when finite, every blocking point checks it and the
     /// evaluation fails over to a partial answer with an exact
@@ -337,6 +332,7 @@ fn run_pooled<S: PageSource + Sync>(ev: &Evaluator<'_, S>, expr: &NalgExpr) -> R
     )
 }
 
+#[derive(Default)]
 struct Ctx {
     /// Per-query page cache, keyed by interned URL id: a hit hands out a
     /// refcount bump, never a `Url`/`Tuple` clone.
@@ -349,7 +345,7 @@ struct Ctx {
     shared_hits: u64,
     broken_links: u64,
     per_op: Vec<(String, u64)>,
-    unreachable: std::collections::BTreeSet<Url>,
+    unreachable: BTreeSet<Url>,
     /// Audit bookkeeping (populated only when an audit is attached):
     /// every acquired page by scheme, the dedup set (interned ids), and
     /// the sampled URLs.
@@ -477,7 +473,7 @@ fn applicable_checks<'f>(
 }
 
 /// True iff `row` provably cannot survive the filters above the Follow.
-/// Semantics mirror `apply_pred` exactly: constant equality treats
+/// Semantics mirror [`apply_pred`] exactly: constant equality treats
 /// `Null = Null` as true, attribute equality never matches nulls, and a
 /// join key outside the other side's value set can never join.
 fn row_is_dead(row: &[Value], checks: &[ResolvedCheck<'_>]) -> bool {
@@ -492,42 +488,10 @@ fn row_is_dead(row: &[Value], checks: &[ResolvedCheck<'_>]) -> bool {
 /// `attr` (nulls included, so the bound is sound whatever the engine's
 /// null-join semantics), or `None` when the column does not resolve —
 /// the residual is then simply not pushed, which is conservative.
-fn join_key_values(car: &Carrier, attr: &str) -> Option<HashSet<Value>> {
-    match car {
-        Carrier::Row(rel) => {
-            let i = rel.resolve(attr).ok()?;
-            Some(rel.rows().iter().map(|r| r[i].clone()).collect())
-        }
-        Carrier::Col(rel) => {
-            let i = rel.resolve(attr).ok()?;
-            let probe = rel.project_cols(&[i]).to_relation();
-            Some(probe.rows().iter().map(|r| r[0].clone()).collect())
-        }
-    }
-}
-
-/// The internal result of one operator: the columnar fast path, or the
-/// boundary row representation when the evaluator was pinned to the
-/// reference row path. Conversion happens once, at the report boundary.
-enum Carrier {
-    Row(Relation),
-    Col(ColumnRel),
-}
-
-impl Carrier {
-    fn len(&self) -> usize {
-        match self {
-            Carrier::Row(r) => r.len(),
-            Carrier::Col(c) => c.len(),
-        }
-    }
-
-    fn into_relation(self) -> Relation {
-        match self {
-            Carrier::Row(r) => r,
-            Carrier::Col(c) => c.to_relation(),
-        }
-    }
+fn join_key_values(rel: &ColumnRel, attr: &str) -> Option<HashSet<Value>> {
+    let i = rel.resolve(attr).ok()?;
+    let probe = rel.project_cols(&[i]).to_relation();
+    Some(probe.rows().iter().map(|r| r[0].clone()).collect())
 }
 
 impl<'a, S: PageSource> Evaluator<'a, S> {
@@ -537,7 +501,6 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         Evaluator {
             ws,
             source,
-            cache_enabled: true,
             fetch_workers: 1,
             shared: None,
             degradation: DegradationMode::FailFast,
@@ -545,22 +508,11 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             pooled_run: None,
             trace: None,
             trace_parent: None,
-            columnar: true,
             deadline: obs::Deadline::infinite(),
             cancel: None,
             hedge: None,
             relevance: false,
         }
-    }
-
-    /// Pins the row-at-a-time reference path: every operator runs over
-    /// boundary [`Relation`]s exactly as in the pre-columnar engine. Kept
-    /// so property tests can assert the columnar kernels produce
-    /// byte-identical answers and access counters; production callers have
-    /// no reason to use it.
-    pub fn row_path(mut self) -> Self {
-        self.columnar = false;
-        self
     }
 
     /// Attaches a constraint audit: a deterministic sample of the pages
@@ -578,13 +530,6 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
     /// ([`DegradationMode::Partial`]).
     pub fn with_degradation(mut self, mode: DegradationMode) -> Self {
         self.degradation = mode;
-        self
-    }
-
-    /// Disables the page cache: each operator re-downloads the pages it
-    /// needs, making actual downloads equal the cost model's sum.
-    pub fn without_cache(mut self) -> Self {
-        self.cache_enabled = false;
         self
     }
 
@@ -697,26 +642,10 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
     }
 
     fn eval_with(&self, expr: &NalgExpr, pool: Option<&FetchPool>) -> Result<EvalReport> {
-        let mut ctx = Ctx {
-            cache: HashMap::new(),
-            node_seq: 0,
-            page_accesses: 0,
-            cache_hits: 0,
-            shared_hits: 0,
-            broken_links: 0,
-            per_op: Vec::new(),
-            unreachable: std::collections::BTreeSet::new(),
-            audit_pages: BTreeMap::new(),
-            audit_seen: HashSet::new(),
-            audit_sampled: BTreeSet::new(),
-            cancelled: std::collections::BTreeSet::new(),
-            deadline_exceeded: false,
-            fetch_epoch: 0,
-            residual: Vec::new(),
-        };
+        let mut ctx = Ctx::default();
         let relation = self
             .eval_expr(expr, &mut ctx, pool, self.trace_parent)?
-            .into_relation();
+            .to_relation();
         let audit = self.run_audit(&mut ctx);
         Ok(EvalReport {
             relation,
@@ -834,148 +763,107 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         Some(report)
     }
 
-    fn fetch(&self, ctx: &mut Ctx, url: &Url, scheme: &str) -> Result<Option<Arc<Tuple>>> {
-        let sym = Symbol::from_url(url);
-        if self.cache_enabled {
-            if let Some(t) = ctx.cache.get(&sym) {
-                ctx.cache_hits += 1;
-                return Ok(Some(Arc::clone(t)));
-            }
+    /// The cache side of page acquisition: a per-query cache hit, else a
+    /// shared cross-query cache hit (copied into the per-query cache and
+    /// the audit), else `None` — a miss the caller must fetch.
+    fn lookup(&self, ctx: &mut Ctx, sym: Symbol, scheme: &str) -> Option<Arc<Tuple>> {
+        if let Some(t) = ctx.cache.get(&sym) {
+            ctx.cache_hits += 1;
+            return Some(Arc::clone(t));
         }
-        if let Some(shared) = self.shared {
-            if let Some(t) = shared.get(url) {
-                ctx.shared_hits += 1;
-                let t = Arc::new(t);
-                if self.cache_enabled {
-                    ctx.cache.insert(sym, Arc::clone(&t));
-                }
-                self.audit_record(ctx, sym, scheme, &t);
-                return Ok(Some(t));
-            }
-        }
-        // Caches are free; only the network is gated by the budget. A
-        // fired deadline degrades to Partial semantics regardless of the
-        // configured mode — the deadline *is* the degradation decision.
-        if self.deadline.expired() {
-            ctx.deadline_exceeded = true;
-            ctx.unreachable.insert(url.clone());
-            return Ok(None);
-        }
-        match timed_fetch_stamped(self.source, url, scheme) {
+        let t = Arc::new(self.shared?.get(&sym.to_url())?);
+        ctx.shared_hits += 1;
+        self.keep(ctx, sym, scheme, &t);
+        Some(t)
+    }
+
+    /// Enters an acquired page into the per-query cache and the audit.
+    fn keep(&self, ctx: &mut Ctx, sym: Symbol, scheme: &str, t: &Arc<Tuple>) {
+        ctx.cache.insert(sym, Arc::clone(t));
+        self.audit_record(ctx, sym, scheme, t);
+    }
+
+    /// The completion side of page acquisition, shared by every drain:
+    /// books one fetch outcome into the counters and returns the page, or
+    /// `None` when the URL is unreachable. A download is charged to
+    /// `page_accesses` and fed to both caches; a 404 is a broken link; a
+    /// cancellation under a finite deadline or [`DegradationMode::Partial`]
+    /// is a skip (a brown-out when the budget is gone); any other failure
+    /// is a skip under `Partial` and aborts the query under `FailFast`.
+    fn complete(
+        &self,
+        ctx: &mut Ctx,
+        sym: Symbol,
+        url: Url,
+        scheme: &str,
+        outcome: FetchOutcome,
+    ) -> Result<Option<Arc<Tuple>>> {
+        match outcome {
             Ok((t, lm)) => {
                 ctx.page_accesses += 1;
                 if let Some(shared) = self.shared {
-                    shared.insert(url, &t, lm);
+                    shared.insert(&url, &t, lm);
                 }
                 let t = Arc::new(t);
-                if self.cache_enabled {
-                    ctx.cache.insert(sym, Arc::clone(&t));
-                }
-                self.audit_record(ctx, sym, scheme, &t);
+                self.keep(ctx, sym, scheme, &t);
                 Ok(Some(t))
             }
             Err(SourceError::NotFound(_)) => {
                 ctx.broken_links += 1;
-                ctx.unreachable.insert(url.clone());
-                Ok(None)
-            }
-            Err(_) if self.degradation == DegradationMode::Partial => {
-                ctx.unreachable.insert(url.clone());
+                ctx.unreachable.insert(url);
                 Ok(None)
             }
             // A cancelled fetch under a finite deadline is the budget
             // machinery working as designed, not a query failure.
-            Err(SourceError::Cancelled(_)) if self.deadline.is_finite() => {
-                ctx.deadline_exceeded = true;
-                ctx.unreachable.insert(url.clone());
+            Err(SourceError::Cancelled(_))
+                if self.deadline.is_finite() || self.degradation == DegradationMode::Partial =>
+            {
+                if self.deadline.expired() {
+                    ctx.deadline_exceeded = true;
+                }
+                ctx.unreachable.insert(url);
+                Ok(None)
+            }
+            Err(_) if self.degradation == DegradationMode::Partial => {
+                ctx.unreachable.insert(url);
                 Ok(None)
             }
             Err(e) => Err(EvalError::Source(e.to_string())),
         }
     }
 
-    /// The deadline/hedge-aware variant of [`Evaluator::fetch`]: one URL
-    /// through the worker pool, so a single laggard GET (an entry point,
-    /// typically) can be hedged or abandoned at the budget instead of
-    /// blocking the session past it. Cache handling, counters, and error
-    /// degradation match `fetch` exactly.
-    fn fetch_one_pooled(
+    /// Fetches cache misses — through the pool when one is given, else one
+    /// at a time — books each outcome with [`Evaluator::complete`], and
+    /// hands every delivered page to `on_page`.
+    fn fetch_misses(
         &self,
         ctx: &mut Ctx,
-        pool: &FetchPool,
-        url: &Url,
+        pool: Option<&FetchPool>,
+        urls: &[Url],
         scheme: &str,
-    ) -> Result<Option<Arc<Tuple>>> {
-        let sym = Symbol::from_url(url);
-        if self.cache_enabled {
-            if let Some(t) = ctx.cache.get(&sym) {
-                ctx.cache_hits += 1;
-                return Ok(Some(Arc::clone(t)));
+        mut on_page: impl FnMut(Symbol, &Arc<Tuple>) -> Result<()>,
+    ) -> Result<()> {
+        let mut settle = |ctx: &mut Ctx, url: Url, outcome: FetchOutcome| -> Result<()> {
+            let sym = Symbol::from_url(&url);
+            match self.complete(ctx, sym, url, scheme, outcome)? {
+                Some(t) => on_page(sym, &t),
+                None => Ok(()),
             }
+        };
+        match pool {
+            Some(pool) => self.drain_pooled(ctx, pool, urls, scheme, &mut settle),
+            None => self.drain_sequential(ctx, urls, scheme, &mut settle),
         }
-        if let Some(shared) = self.shared {
-            if let Some(t) = shared.get(url) {
-                ctx.shared_hits += 1;
-                let t = Arc::new(t);
-                if self.cache_enabled {
-                    ctx.cache.insert(sym, Arc::clone(&t));
-                }
-                self.audit_record(ctx, sym, scheme, &t);
-                return Ok(Some(t));
-            }
-        }
-        let mut fetched: Option<Arc<Tuple>> = None;
-        self.drain_pooled(
-            ctx,
-            pool,
-            std::slice::from_ref(url),
-            scheme,
-            |ctx, u, outcome| match outcome {
-                Ok((t, lm)) => {
-                    ctx.page_accesses += 1;
-                    if let Some(shared) = self.shared {
-                        shared.insert(&u, &t, lm);
-                    }
-                    let t = Arc::new(t);
-                    let sym = Symbol::from_url(&u);
-                    if self.cache_enabled {
-                        ctx.cache.insert(sym, Arc::clone(&t));
-                    }
-                    self.audit_record(ctx, sym, scheme, &t);
-                    fetched = Some(t);
-                    Ok(())
-                }
-                Err(SourceError::NotFound(_)) => {
-                    ctx.broken_links += 1;
-                    ctx.unreachable.insert(u);
-                    Ok(())
-                }
-                Err(_) if self.degradation == DegradationMode::Partial => {
-                    ctx.unreachable.insert(u);
-                    Ok(())
-                }
-                Err(e) => Err(EvalError::Source(e.to_string())),
-            },
-        )?;
-        Ok(fetched)
     }
 
-    /// Expands a page tuple into a single-row relation qualified by alias.
-    fn expand_page(
-        &self,
-        alias: &str,
-        scheme: &str,
-        url: &Url,
-        tuple: &Tuple,
-    ) -> Result<(Vec<String>, Vec<Value>)> {
+    /// The value row of one page: its URL, then its fields in scheme order.
+    fn expand_page(&self, scheme: &str, url: &Url, tuple: &Tuple) -> Result<Vec<Value>> {
         let ps = self.ws.scheme(scheme)?;
-        let mut cols = vec![format!("{alias}.URL")];
         let mut vals = vec![Value::Link(url.clone())];
         for f in &ps.fields {
-            cols.push(format!("{alias}.{}", f.name));
             vals.push(tuple.get(&f.name).cloned().unwrap_or(Value::Null));
         }
-        Ok((cols, vals))
+        Ok(vals)
     }
 
     /// Traced entry to operator evaluation. Without a sink this is a
@@ -992,7 +880,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         ctx: &mut Ctx,
         pool: Option<&FetchPool>,
         parent: Option<u64>,
-    ) -> Result<Carrier> {
+    ) -> Result<ColumnRel> {
         let Some(sink) = &self.trace else {
             return self.eval_node(expr, ctx, pool, parent);
         };
@@ -1009,7 +897,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         let result = self.eval_node(expr, ctx, pool, Some(span.id()));
         span.set("node", node);
         match &result {
-            Ok(car) => span.set("rows_out", car.len() as u64),
+            Ok(rel) => span.set("rows_out", rel.len() as u64),
             Err(e) => span.set("error", e.to_string()),
         }
         span.set("downloads", ctx.page_accesses - before.0);
@@ -1033,7 +921,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         ctx: &mut Ctx,
         pool: Option<&FetchPool>,
         parent: Option<u64>,
-    ) -> Result<Carrier> {
+    ) -> Result<ColumnRel> {
         match expr {
             NalgExpr::External { name } => Err(EvalError::NotComputable(format!(
                 "external relation {name}"
@@ -1042,48 +930,39 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 let ep = self.ws.entry_point(scheme).ok_or_else(|| {
                     EvalError::NotComputable(format!("{scheme} is not an entry point"))
                 })?;
-                let url = ep.url.clone();
-                let fetched = match pool {
+                let url = &ep.url;
+                let mut page = self.lookup(ctx, Symbol::from_url(url), scheme);
+                if page.is_none() {
                     // With a budget or hedging active, even the single
                     // entry GET goes through the pooled drain — a tail
                     // response there is hedged or abandoned at the
                     // deadline rather than blocking the whole session.
-                    Some(p) if self.deadline.is_finite() || self.hedge.is_some() => {
-                        self.fetch_one_pooled(ctx, p, &url, scheme)?
-                    }
-                    _ => self.fetch(ctx, &url, scheme)?,
-                };
-                match fetched {
+                    let pool = pool.filter(|_| self.deadline.is_finite() || self.hedge.is_some());
+                    self.fetch_misses(ctx, pool, std::slice::from_ref(url), scheme, |_, t| {
+                        page = Some(Arc::clone(t));
+                        Ok(())
+                    })?;
+                }
+                let header = crate::expr::page_columns(self.ws, scheme, alias)?;
+                let rel = match page {
                     Some(tuple) => {
-                        ctx.per_op.push((format!("entry {scheme}"), 1));
-                        let (cols, vals) = self.expand_page(alias, scheme, &url, &tuple)?;
-                        if self.columnar {
-                            let mut b = ColumnRelBuilder::new(&cols);
-                            b.push_row(&vals)?;
-                            Ok(Carrier::Col(b.finish()))
-                        } else {
-                            let mut r = Relation::new(cols);
-                            r.push_row(vals)?;
-                            Ok(Carrier::Row(r))
-                        }
+                        let mut b = ColumnRelBuilder::new(&header);
+                        b.push_row(&self.expand_page(scheme, url, &tuple)?)?;
+                        b.finish()
                     }
-                    // `fetch` already recorded the URL as unreachable; in
-                    // Partial mode an unreachable entry point degrades to an
-                    // empty relation (with the right header) instead of
-                    // aborting the query.
+                    // The URL is already recorded as unreachable; in Partial
+                    // mode (or past the deadline) an unreachable entry point
+                    // degrades to an empty relation with the right header
+                    // instead of aborting the query.
                     None if self.degradation == DegradationMode::Partial
                         || ctx.deadline_exceeded =>
                     {
-                        ctx.per_op.push((format!("entry {scheme}"), 1));
-                        let cols = crate::expr::page_columns(self.ws, scheme, alias)?;
-                        if self.columnar {
-                            Ok(Carrier::Col(ColumnRel::empty(&cols)))
-                        } else {
-                            Ok(Carrier::Row(Relation::new(cols)))
-                        }
+                        ColumnRel::empty(&header)
                     }
-                    None => Err(EvalError::Source(format!("entry point {url} missing"))),
-                }
+                    None => return Err(EvalError::Source(format!("entry point {url} missing"))),
+                };
+                ctx.per_op.push((format!("entry {scheme}"), 1));
+                Ok(rel)
             }
             NalgExpr::Select { input, pred } => {
                 // Relevance: this predicate filters everything the input
@@ -1092,22 +971,16 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 if self.relevance {
                     ctx.residual.push(ResidualFilter::Pred(pred.clone()));
                 }
-                let car = self.eval_expr(input, ctx, pool, parent);
+                let rel = self.eval_expr(input, ctx, pool, parent);
                 if self.relevance {
                     ctx.residual.pop();
                 }
-                match car? {
-                    Carrier::Col(rel) => Ok(Carrier::Col(apply_pred_col(&rel, pred)?)),
-                    Carrier::Row(rel) => Ok(Carrier::Row(apply_pred(&rel, pred)?)),
-                }
+                apply_pred(&rel?, pred)
             }
             NalgExpr::Project { input, cols } => {
-                let car = self.eval_expr(input, ctx, pool, parent)?;
+                let rel = self.eval_expr(input, ctx, pool, parent)?;
                 let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-                match car {
-                    Carrier::Col(rel) => Ok(Carrier::Col(rel.project(&refs)?)),
-                    Carrier::Row(rel) => Ok(Carrier::Row(rel.project(&refs)?)),
-                }
+                Ok(rel.project(&refs)?)
             }
             NalgExpr::Join { left, right, on } => {
                 let l = self.eval_expr(left, ctx, pool, parent)?;
@@ -1131,22 +1004,13 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 for _ in 0..pushed {
                     ctx.residual.pop();
                 }
-                let r = r?;
                 let pairs: Vec<(&str, &str)> =
                     on.iter().map(|(a, b)| (a.as_str(), b.as_str())).collect();
-                match (l, r) {
-                    (Carrier::Col(a), Carrier::Col(b)) => Ok(Carrier::Col(a.join(&b, &pairs)?)),
-                    (a, b) => Ok(Carrier::Row(
-                        a.into_relation().join(&b.into_relation(), &pairs)?,
-                    )),
-                }
+                Ok(l.join(&r?, &pairs)?)
             }
             NalgExpr::Unnest { input, attr } => {
-                let car = self.eval_expr(input, ctx, pool, parent)?;
-                let qualified = match &car {
-                    Carrier::Row(rel) => rel.columns()[rel.resolve(attr)?].clone(),
-                    Carrier::Col(rel) => rel.names()[rel.resolve(attr)?].as_str().to_string(),
-                };
+                let rel = self.eval_expr(input, ctx, pool, parent)?;
+                let qualified = rel.names()[rel.resolve(attr)?].as_str().to_string();
                 let aliases = expr.alias_map()?;
                 let field = field_of_column(self.ws, &aliases, &qualified)?;
                 let inner: Vec<String> = field
@@ -1162,20 +1026,17 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                     .iter()
                     .map(|f| f.name.clone())
                     .collect();
-                match car {
-                    Carrier::Col(rel) => Ok(Carrier::Col(rel.unnest(attr, &inner)?)),
-                    Carrier::Row(rel) => Ok(Carrier::Row(rel.unnest(attr, &inner)?)),
-                }
+                Ok(rel.unnest(attr, &inner)?)
             }
             NalgExpr::Follow {
                 input,
                 link,
                 target,
                 alias,
-            } => match self.eval_expr(input, ctx, pool, parent)? {
-                Carrier::Col(rel) => self.follow_col(&rel, link, target, alias, ctx, pool),
-                Carrier::Row(rel) => self.follow_row(&rel, link, target, alias, ctx, pool),
-            },
+            } => {
+                let rel = self.eval_expr(input, ctx, pool, parent)?;
+                self.follow(&rel, link, target, alias, ctx, pool)
+            }
         }
     }
 
@@ -1183,89 +1044,44 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
     /// remaining budget: once the deadline fires, every remaining URL
     /// goes to `unreachable` (the exact not-yet-fetched set) instead of
     /// being fetched past the SLO.
-    fn drain_sequential<F>(
+    fn drain_sequential(
         &self,
         ctx: &mut Ctx,
         misses: &[Url],
         scheme: &str,
-        mut complete: F,
-    ) -> Result<()>
-    where
-        F: FnMut(
-            &mut Ctx,
-            Url,
-            std::result::Result<(Tuple, Option<u64>), SourceError>,
-        ) -> Result<()>,
-    {
+        settle: &mut dyn FnMut(&mut Ctx, Url, FetchOutcome) -> Result<()>,
+    ) -> Result<()> {
         for u in misses {
             if self.deadline.expired() {
                 ctx.deadline_exceeded = true;
                 ctx.unreachable.insert(u.clone());
                 continue;
             }
-            match timed_fetch_stamped(self.source, u, scheme) {
-                Err(SourceError::Cancelled(_))
-                    if self.deadline.is_finite()
-                        || self.degradation == DegradationMode::Partial =>
-                {
-                    if self.deadline.expired() {
-                        ctx.deadline_exceeded = true;
-                    }
-                    ctx.unreachable.insert(u.clone());
-                }
-                outcome => complete(ctx, u.clone(), outcome)?,
-            }
+            settle(ctx, u.clone(), timed_fetch_stamped(self.source, u, scheme))?;
         }
         Ok(())
     }
 
     /// The pooled drain: streams `misses` into the pool, then consumes
-    /// completions. Without a finite deadline or hedging this blocks on
-    /// each completion exactly as the pre-budget engine did; with
-    /// either, the loop waits in bounded quanta so it can (a) abort the
-    /// drain the moment the budget is gone — cancelling still-queued
-    /// jobs through the token and reporting the exact pending set as
-    /// unreachable — and (b) launch one backup fetch per laggard after
-    /// the hedge delay, first response winning. Completions are tagged
-    /// with a per-drain epoch so a later drain never consumes a stale
-    /// completion from an aborted one.
-    fn drain_pooled<F>(
+    /// completions. The loop waits in bounded quanta so it can (a) abort
+    /// the drain the moment a finite budget is gone — cancelling
+    /// still-queued jobs through the token and reporting the exact
+    /// pending set as unreachable — and (b) launch one backup fetch per
+    /// laggard after the hedge delay, first response winning. With an
+    /// infinite deadline and no hedging neither fires and each wait
+    /// blocks until the next completion. Completions are tagged with a per-drain
+    /// epoch so a later drain never consumes a stale completion from an
+    /// aborted one.
+    fn drain_pooled(
         &self,
         ctx: &mut Ctx,
         pool: &FetchPool,
         misses: &[Url],
         scheme: &str,
-        mut complete: F,
-    ) -> Result<()>
-    where
-        F: FnMut(
-            &mut Ctx,
-            Url,
-            std::result::Result<(Tuple, Option<u64>), SourceError>,
-        ) -> Result<()>,
-    {
+        settle: &mut dyn FnMut(&mut Ctx, Url, FetchOutcome) -> Result<()>,
+    ) -> Result<()> {
         use std::time::{Duration, Instant};
         let shutdown = || EvalError::Source("fetch worker pool shut down".to_string());
-        if !self.deadline.is_finite() && self.hedge.is_none() {
-            // Plain path: pinned byte-identical to the pre-budget engine.
-            let mut submitted = 0usize;
-            for u in misses {
-                if let Some(t) = &self.cancel {
-                    t.uncancel_url(u.as_str());
-                }
-                if !pool.submit(u.clone(), scheme.to_string()) {
-                    return Err(shutdown());
-                }
-                submitted += 1;
-            }
-            for _ in 0..submitted {
-                let Some(done) = pool.recv() else {
-                    return Err(shutdown());
-                };
-                complete(ctx, done.url, done.outcome)?;
-            }
-            return Ok(());
-        }
         ctx.fetch_epoch += 1;
         let epoch = ctx.fetch_epoch;
         struct Pending {
@@ -1347,6 +1163,11 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             if done.epoch != epoch {
                 continue; // stale completion from an aborted earlier drain
             }
+            if self.deadline.expired() {
+                // Received past the budget: the URL is still pending, so
+                // the brown-out at the top of the loop reports it.
+                continue;
+            }
             match pending.remove(&done.url) {
                 Some(p) => {
                     if p.hedged {
@@ -1361,18 +1182,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                             }
                         }
                     }
-                    match done.outcome {
-                        Err(SourceError::Cancelled(_))
-                            if self.deadline.is_finite()
-                                || self.degradation == DegradationMode::Partial =>
-                        {
-                            if self.deadline.expired() {
-                                ctx.deadline_exceeded = true;
-                            }
-                            ctx.unreachable.insert(done.url);
-                        }
-                        outcome => complete(ctx, done.url, outcome)?,
-                    }
+                    settle(ctx, done.url, done.outcome)?;
                 }
                 None => {
                     // The losing twin of an already-settled URL. A
@@ -1392,187 +1202,13 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         Ok(())
     }
 
-    /// The row-at-a-time `follow`: the reference implementation the pin
-    /// tests compare against (see [`Evaluator::row_path`]).
-    fn follow_row(
-        &self,
-        rel: &Relation,
-        link: &str,
-        target: &str,
-        alias: &str,
-        ctx: &mut Ctx,
-        pool: Option<&FetchPool>,
-    ) -> Result<Carrier> {
-        {
-            {
-                let li = rel.resolve(link)?;
-                // Distinct non-null link values, in first-appearance order.
-                let mut seen: HashMap<Url, Option<Vec<Value>>> = HashMap::new();
-                let mut order: Vec<Url> = Vec::new();
-                for row in rel.rows() {
-                    if let Value::Link(u) = &row[li] {
-                        if !seen.contains_key(u) {
-                            seen.insert(u.clone(), None);
-                            order.push(u.clone());
-                        }
-                    }
-                }
-                ctx.per_op
-                    .push((format!("–{link}→ {target}"), order.len() as u64));
-                // Serve per-query cache hits, then shared-cache hits, and
-                // only then touch the network for the remaining misses.
-                let mut target_cols: Option<Vec<String>> = None;
-                let mut misses: Vec<Url> = Vec::new();
-                for u in &order {
-                    let sym = Symbol::from_url(u);
-                    if self.cache_enabled {
-                        if let Some(t) = ctx.cache.get(&sym).cloned() {
-                            ctx.cache_hits += 1;
-                            let (cols, vals) = self.expand_page(alias, target, u, &t)?;
-                            target_cols.get_or_insert(cols);
-                            seen.insert(u.clone(), Some(vals));
-                            continue;
-                        }
-                    }
-                    if let Some(shared) = self.shared {
-                        if let Some(t) = shared.get(u) {
-                            ctx.shared_hits += 1;
-                            let t = Arc::new(t);
-                            if self.cache_enabled {
-                                ctx.cache.insert(sym, Arc::clone(&t));
-                            }
-                            self.audit_record(ctx, sym, target, &t);
-                            let (cols, vals) = self.expand_page(alias, target, u, &t)?;
-                            target_cols.get_or_insert(cols);
-                            seen.insert(u.clone(), Some(vals));
-                            continue;
-                        }
-                    }
-                    misses.push(u.clone());
-                }
-                // Relevance: a missed URL whose every carrying row is
-                // rejected by some residual σ/⋈ predicate bound entirely
-                // to input-side columns can never join into an output
-                // tuple — skip its fetch and cancel it through the
-                // token. `per_op` above already charged the full distinct
-                // set, so the cost-model numbers stay exact.
-                if self.relevance && !ctx.residual.is_empty() && !misses.is_empty() {
-                    let input_cols: Vec<&str> = rel.columns().iter().map(String::as_str).collect();
-                    let page_cols = crate::expr::page_columns(self.ws, target, alias)?;
-                    let dead: Vec<Url> = {
-                        let checks = applicable_checks(&ctx.residual, &input_cols, &page_cols);
-                        if checks.is_empty() {
-                            Vec::new()
-                        } else {
-                            let mut live: HashSet<Url> = HashSet::new();
-                            for row in rel.rows() {
-                                if let Value::Link(u) = &row[li] {
-                                    if !row_is_dead(row, &checks) {
-                                        live.insert(u.clone());
-                                    }
-                                }
-                            }
-                            misses
-                                .iter()
-                                .filter(|u| !live.contains(*u))
-                                .cloned()
-                                .collect()
-                        }
-                    };
-                    if !dead.is_empty() {
-                        for u in &dead {
-                            if let Some(t) = &self.cancel {
-                                t.cancel_url(u.as_str());
-                            }
-                            ctx.cancelled.insert(u.clone());
-                        }
-                        let dead: HashSet<Url> = dead.into_iter().collect();
-                        misses.retain(|u| !dead.contains(u));
-                    }
-                }
-                // A completed fetch lands in `seen` (keyed by URL), so
-                // completion order cannot affect the result.
-                let complete = |ctx: &mut Ctx,
-                                seen: &mut HashMap<Url, Option<Vec<Value>>>,
-                                target_cols: &mut Option<Vec<String>>,
-                                u: Url,
-                                outcome: std::result::Result<(Tuple, Option<u64>), SourceError>|
-                 -> Result<()> {
-                    match outcome {
-                        Ok((t, lm)) => {
-                            ctx.page_accesses += 1;
-                            if let Some(shared) = self.shared {
-                                shared.insert(&u, &t, lm);
-                            }
-                            let sym = Symbol::from_url(&u);
-                            let t = Arc::new(t);
-                            if self.cache_enabled {
-                                ctx.cache.insert(sym, Arc::clone(&t));
-                            }
-                            self.audit_record(ctx, sym, target, &t);
-                            let (cols, vals) = self.expand_page(alias, target, &u, &t)?;
-                            target_cols.get_or_insert(cols);
-                            seen.insert(u, Some(vals));
-                            Ok(())
-                        }
-                        Err(SourceError::NotFound(_)) => {
-                            ctx.broken_links += 1;
-                            ctx.unreachable.insert(u);
-                            Ok(())
-                        }
-                        Err(_) if self.degradation == DegradationMode::Partial => {
-                            ctx.unreachable.insert(u);
-                            Ok(())
-                        }
-                        Err(e) => Err(EvalError::Source(e.to_string())),
-                    }
-                };
-                match pool {
-                    // Pipelined: stream every miss into the pool up front,
-                    // then wrap and record completions as they arrive —
-                    // CPU work overlaps the fetches still in flight.
-                    Some(pool) => {
-                        self.drain_pooled(ctx, pool, &misses, target, |ctx, u, outcome| {
-                            complete(ctx, &mut seen, &mut target_cols, u, outcome)
-                        })?;
-                    }
-                    None => {
-                        self.drain_sequential(ctx, &misses, target, |ctx, u, outcome| {
-                            complete(ctx, &mut seen, &mut target_cols, u, outcome)
-                        })?;
-                    }
-                }
-                let target_cols = match target_cols {
-                    Some(c) => c,
-                    // No link was followed; synthesize the header statically.
-                    None => crate::expr::page_columns(self.ws, target, alias)?,
-                };
-                let mut columns = rel.columns().to_vec();
-                columns.extend(target_cols);
-                let mut out = Relation::new(columns);
-                for row in rel.rows() {
-                    if let Value::Link(u) = &row[li] {
-                        if let Some(Some(vals)) = seen.get(u) {
-                            let mut new_row = row.clone();
-                            new_row.extend(vals.iter().cloned());
-                            out.push_row(new_row)?;
-                        }
-                    }
-                }
-                Ok(Carrier::Row(out))
-            }
-        }
-    }
-
-    /// The columnar `follow`: the fetch edge stays row-driven — distinct
-    /// interned link ids are collected in first-appearance order and
-    /// fetched one page at a time (sequential or pooled), so `per_op`
-    /// charges and every access counter are byte-identical with the row
-    /// path — while the *local* side is batch: fetched pages land in one
+    /// `follow`: the fetch edge is row-driven — distinct interned link ids
+    /// are collected in first-appearance order, served from the caches,
+    /// pruned by relevance, and the rest fetched (sequentially or pooled)
+    /// — while the local side is batch: pages land in one
     /// [`ColumnRelBuilder`] batch, and the output is a gather
-    /// (`take` + `hstack`) over input-row and page-row index vectors
-    /// instead of a per-row clone-and-extend.
-    fn follow_col(
+    /// (`take` + `hstack`) over input-row and page-row index vectors.
+    fn follow(
         &self,
         rel: &ColumnRel,
         link: &str,
@@ -1580,10 +1216,10 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         alias: &str,
         ctx: &mut Ctx,
         pool: Option<&FetchPool>,
-    ) -> Result<Carrier> {
+    ) -> Result<ColumnRel> {
         let li = rel.resolve(link)?;
         // Distinct non-null link ids, first-appearance order; non-link
-        // cells are skipped, as in the row path.
+        // cells are skipped.
         let link_of = |row: usize| -> Option<Symbol> {
             let col = &rel.columns()[li];
             match &col.data {
@@ -1605,143 +1241,28 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         ctx.per_op
             .push((format!("–{link}→ {target}"), order.len() as u64));
         // The page header is static (alias.URL + alias.fields), so the
-        // batch builder exists before any page arrives.
+        // batch builder exists before any page arrives. A page lands in
+        // `page_row` keyed by interned id, so pooled completion order
+        // cannot affect the result.
         let header = crate::expr::page_columns(self.ws, target, alias)?;
         let mut pages = ColumnRelBuilder::new(&header);
-        // Serve per-query cache hits, then shared-cache hits, and only
-        // then touch the network for the remaining misses.
+        let mut add_page = |s: Symbol, t: &Arc<Tuple>| -> Result<()> {
+            pages.push_row(&self.expand_page(target, &s.to_url(), t)?)?;
+            page_row.insert(s, Some(pages.len() as u32 - 1));
+            Ok(())
+        };
         let mut misses: Vec<Symbol> = Vec::new();
         for &s in &order {
-            if self.cache_enabled {
-                if let Some(t) = ctx.cache.get(&s).cloned() {
-                    ctx.cache_hits += 1;
-                    let url = s.to_url();
-                    let (_, vals) = self.expand_page(alias, target, &url, &t)?;
-                    pages.push_row(&vals)?;
-                    page_row.insert(s, Some(pages.len() as u32 - 1));
-                    continue;
-                }
+            match self.lookup(ctx, s, target) {
+                Some(t) => add_page(s, &t)?,
+                None => misses.push(s),
             }
-            if let Some(shared) = self.shared {
-                let url = s.to_url();
-                if let Some(t) = shared.get(&url) {
-                    ctx.shared_hits += 1;
-                    let t = Arc::new(t);
-                    if self.cache_enabled {
-                        ctx.cache.insert(s, Arc::clone(&t));
-                    }
-                    self.audit_record(ctx, s, target, &t);
-                    let (_, vals) = self.expand_page(alias, target, &url, &t)?;
-                    pages.push_row(&vals)?;
-                    page_row.insert(s, Some(pages.len() as u32 - 1));
-                    continue;
-                }
-            }
-            misses.push(s);
         }
-        // Relevance: same dead-URL pruning as the row path, probing a
-        // materialized copy of the input only when some residual check
-        // actually binds to input-side columns.
         if self.relevance && !ctx.residual.is_empty() && !misses.is_empty() {
-            let names: Vec<String> = rel.names().iter().map(|s| s.as_str().to_string()).collect();
-            let input_cols: Vec<&str> = names.iter().map(String::as_str).collect();
-            let dead: Vec<Symbol> = {
-                let checks = applicable_checks(&ctx.residual, &input_cols, &header);
-                if checks.is_empty() {
-                    Vec::new()
-                } else {
-                    let probe = rel.to_relation();
-                    let mut live: HashSet<Symbol> = HashSet::new();
-                    for (row_idx, row) in probe.rows().iter().enumerate() {
-                        if let Some(s) = link_of(row_idx) {
-                            if !row_is_dead(row, &checks) {
-                                live.insert(s);
-                            }
-                        }
-                    }
-                    misses
-                        .iter()
-                        .filter(|s| !live.contains(*s))
-                        .copied()
-                        .collect()
-                }
-            };
-            if !dead.is_empty() {
-                for s in &dead {
-                    let url = s.to_url();
-                    if let Some(t) = &self.cancel {
-                        t.cancel_url(url.as_str());
-                    }
-                    ctx.cancelled.insert(url);
-                }
-                let dead: HashSet<Symbol> = dead.into_iter().collect();
-                misses.retain(|s| !dead.contains(s));
-            }
+            self.prune_irrelevant(ctx, rel, &link_of, &header, &mut misses);
         }
-        // A completed fetch lands in `page_row` (keyed by interned id), so
-        // pooled completion order cannot affect the result.
-        let complete = |ctx: &mut Ctx,
-                        pages: &mut ColumnRelBuilder,
-                        page_row: &mut HashMap<Symbol, Option<u32>>,
-                        s: Symbol,
-                        outcome: std::result::Result<(Tuple, Option<u64>), SourceError>|
-         -> Result<()> {
-            match outcome {
-                Ok((t, lm)) => {
-                    ctx.page_accesses += 1;
-                    let url = s.to_url();
-                    if let Some(shared) = self.shared {
-                        shared.insert(&url, &t, lm);
-                    }
-                    let t = Arc::new(t);
-                    if self.cache_enabled {
-                        ctx.cache.insert(s, Arc::clone(&t));
-                    }
-                    self.audit_record(ctx, s, target, &t);
-                    let (_, vals) = self.expand_page(alias, target, &url, &t)?;
-                    pages.push_row(&vals)?;
-                    page_row.insert(s, Some(pages.len() as u32 - 1));
-                    Ok(())
-                }
-                Err(SourceError::NotFound(_)) => {
-                    ctx.broken_links += 1;
-                    ctx.unreachable.insert(s.to_url());
-                    Ok(())
-                }
-                Err(_) if self.degradation == DegradationMode::Partial => {
-                    ctx.unreachable.insert(s.to_url());
-                    Ok(())
-                }
-                Err(e) => Err(EvalError::Source(e.to_string())),
-            }
-        };
         let miss_urls: Vec<Url> = misses.iter().map(|s| s.to_url()).collect();
-        match pool {
-            // Pipelined: stream every miss into the pool up front, then
-            // wrap and record completions as they arrive.
-            Some(pool) => {
-                self.drain_pooled(ctx, pool, &miss_urls, target, |ctx, u, outcome| {
-                    complete(
-                        ctx,
-                        &mut pages,
-                        &mut page_row,
-                        Symbol::from_url(&u),
-                        outcome,
-                    )
-                })?;
-            }
-            None => {
-                self.drain_sequential(ctx, &miss_urls, target, |ctx, u, outcome| {
-                    complete(
-                        ctx,
-                        &mut pages,
-                        &mut page_row,
-                        Symbol::from_url(&u),
-                        outcome,
-                    )
-                })?;
-            }
-        }
+        self.fetch_misses(ctx, pool, &miss_urls, target, add_page)?;
         // Output assembly: one gather per side, input-row order.
         let mut li_idx: Vec<u32> = Vec::new();
         let mut ri_idx: Vec<u32> = Vec::new();
@@ -1753,8 +1274,49 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 }
             }
         }
-        let out = rel.take(&li_idx).hstack(pages.finish().take(&ri_idx));
-        Ok(Carrier::Col(out))
+        Ok(rel.take(&li_idx).hstack(pages.finish().take(&ri_idx)))
+    }
+
+    /// Relevance: a missed URL whose every carrying input row is rejected
+    /// by some residual σ/⋈ check bound entirely to input-side columns can
+    /// never join into an output tuple — drop it from `misses` and cancel
+    /// it through the token. The Follow already charged the full distinct
+    /// set to `per_op`, so the cost-model numbers stay exact.
+    fn prune_irrelevant(
+        &self,
+        ctx: &mut Ctx,
+        rel: &ColumnRel,
+        link_of: &dyn Fn(usize) -> Option<Symbol>,
+        page_cols: &[String],
+        misses: &mut Vec<Symbol>,
+    ) {
+        let names: Vec<String> = rel.names().iter().map(|s| s.as_str().to_string()).collect();
+        let input_cols: Vec<&str> = names.iter().map(String::as_str).collect();
+        let checks = applicable_checks(&ctx.residual, &input_cols, page_cols);
+        if checks.is_empty() {
+            return;
+        }
+        // Materialize the input only when some check binds to it.
+        let probe = rel.to_relation();
+        let mut live: HashSet<Symbol> = HashSet::new();
+        for (row_idx, row) in probe.rows().iter().enumerate() {
+            if let Some(s) = link_of(row_idx) {
+                if !row_is_dead(row, &checks) {
+                    live.insert(s);
+                }
+            }
+        }
+        misses.retain(|s| {
+            if live.contains(s) {
+                return true;
+            }
+            let url = s.to_url();
+            if let Some(t) = &self.cancel {
+                t.cancel_url(url.as_str());
+            }
+            ctx.cancelled.insert(url);
+            false
+        });
     }
 }
 
@@ -1795,9 +1357,9 @@ fn op_label(expr: &NalgExpr) -> String {
 
 /// Applies a predicate to a columnar relation: each atom produces an index
 /// vector over the current batch, gathered with one `take` per conjunct.
-/// Semantics match [`apply_pred`] cell for cell (including `Null = Null`
-/// for constant equality and null-never-equal for attribute equality).
-fn apply_pred_col(rel: &ColumnRel, pred: &Pred) -> Result<ColumnRel> {
+/// Constant equality treats `Null = Null` as true; attribute equality
+/// never matches a null.
+fn apply_pred(rel: &ColumnRel, pred: &Pred) -> Result<ColumnRel> {
     match pred {
         Pred::Eq(attr, value) => {
             let i = rel.resolve(attr)?;
@@ -1807,28 +1369,6 @@ fn apply_pred_col(rel: &ColumnRel, pred: &Pred) -> Result<ColumnRel> {
             let i = rel.resolve(a)?;
             let j = rel.resolve(b)?;
             Ok(rel.take(&rel.select_eq_cols(i, j)))
-        }
-        Pred::And(ps) => {
-            let mut cur = rel.clone();
-            for p in ps {
-                cur = apply_pred_col(&cur, p)?;
-            }
-            Ok(cur)
-        }
-    }
-}
-
-/// Applies a predicate to a relation.
-fn apply_pred(rel: &Relation, pred: &Pred) -> Result<Relation> {
-    match pred {
-        Pred::Eq(attr, value) => {
-            let i = rel.resolve(attr)?;
-            Ok(rel.select(|row| &row[i] == value))
-        }
-        Pred::EqAttr(a, b) => {
-            let i = rel.resolve(a)?;
-            let j = rel.resolve(b)?;
-            Ok(rel.select(|row| !row[i].is_null() && row[i] == row[j]))
         }
         Pred::And(ps) => {
             let mut cur = rel.clone();
@@ -1974,19 +1514,6 @@ mod tests {
         assert_eq!(report.cache_hits, 1);
         // the cost model counts both entry accesses
         assert_eq!(report.cost_model_accesses(), 5);
-    }
-
-    #[test]
-    fn without_cache_downloads_match_cost_model() {
-        let ws = scheme();
-        let src = source();
-        let left = NalgExpr::entry("ListPage").unnest("Items");
-        let right = NalgExpr::entry_as("ListPage", "L2").unnest("Items");
-        let e = left
-            .join(right, vec![("ListPage.Items.ToItem", "L2.Items.ToItem")])
-            .follow("ListPage.Items.ToItem", "ItemPage");
-        let report = Evaluator::new(&ws, &src).without_cache().eval(&e).unwrap();
-        assert_eq!(report.page_accesses, report.cost_model_accesses());
     }
 
     #[test]
@@ -2448,6 +1975,46 @@ mod tests {
         assert_eq!(report.page_accesses, 0, "nothing fetched past the budget");
     }
 
+    /// A source that answers `url` with `Cancelled` only after `delay` —
+    /// how a websim wait severed by an expired ambient deadline looks to
+    /// the evaluator.
+    struct CancellingSource {
+        inner: MapSource,
+        url: Url,
+        delay: std::time::Duration,
+    }
+
+    impl PageSource for CancellingSource {
+        fn fetch(&self, url: &Url, scheme: &str) -> std::result::Result<Tuple, SourceError> {
+            if *url == self.url {
+                std::thread::sleep(self.delay);
+                return Err(SourceError::Cancelled(url.clone()));
+            }
+            self.inner.fetch(url, scheme)
+        }
+    }
+
+    #[test]
+    fn cancelled_fetch_past_the_deadline_is_a_brown_out_in_every_mode() {
+        let ws = scheme();
+        for url in ["/list.html", "/i/b"] {
+            for mode in [DegradationMode::FailFast, DegradationMode::Partial] {
+                let src = CancellingSource {
+                    inner: source(),
+                    url: Url::new(url),
+                    delay: std::time::Duration::from_millis(40),
+                };
+                let report = Evaluator::new(&ws, &src)
+                    .with_degradation(mode)
+                    .with_deadline(obs::Deadline::after_us(20_000))
+                    .eval(&nav())
+                    .unwrap();
+                assert!(report.deadline_exceeded, "{url} under {mode:?}");
+                assert!(report.unreachable.contains(&Url::new(url)));
+            }
+        }
+    }
+
     #[test]
     fn deadline_mid_query_browns_out_with_exact_pending_set() {
         let ws = scheme();
@@ -2509,21 +2076,6 @@ mod tests {
             // The cost model is untouched by relevance pruning.
             assert_eq!(report.cost_model_accesses(), plain.cost_model_accesses());
         }
-    }
-
-    #[test]
-    fn relevance_prunes_on_row_path_too() {
-        let ws = scheme();
-        let src = source();
-        let e = nav().select(Pred::eq("Items.Name", "b"));
-        let report = Evaluator::new(&ws, &src)
-            .row_path()
-            .with_relevance_cancel()
-            .eval(&e)
-            .unwrap();
-        assert_eq!(report.relation.len(), 1);
-        assert_eq!(report.page_accesses, 2);
-        assert_eq!(report.cancelled, vec![Url::new("/i/a"), Url::new("/i/c")]);
     }
 
     #[test]

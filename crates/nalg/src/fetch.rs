@@ -63,16 +63,10 @@ pub struct FetchPool {
 }
 
 impl FetchPool {
-    /// Enqueues a fetch; some worker will pick it up. Returns `false` if
-    /// every worker has exited (the pool is shut down) — the caller must
-    /// surface that as a source error rather than panic.
-    #[must_use]
-    pub(crate) fn submit(&self, url: Url, scheme: String) -> bool {
-        self.submit_tagged(url, scheme, 0, false)
-    }
-
-    /// Like [`FetchPool::submit`], tagging the job with the submitting
-    /// drain's epoch and whether it is a hedge.
+    /// Enqueues a fetch tagged with the submitting drain's epoch and
+    /// whether it is a hedge; some worker will pick it up. Returns `false`
+    /// if every worker has exited (the pool is shut down) — the caller
+    /// must surface that as a source error rather than panic.
     #[must_use]
     pub(crate) fn submit_tagged(&self, url: Url, scheme: String, epoch: u64, hedge: bool) -> bool {
         self.job_tx
@@ -85,17 +79,10 @@ impl FetchPool {
             .is_ok()
     }
 
-    /// Blocks for the next completion, in arrival (not submission) order.
-    /// Returns `None` if the pool shut down before delivering one — a
+    /// Waits at most `timeout` for the next completion, in arrival (not
+    /// submission) order: `Ok` on a completion, `Err(true)` when
+    /// `timeout` elapsed first, `Err(false)` when the pool shut down — a
     /// worker died without completing its job.
-    #[must_use]
-    pub(crate) fn recv(&self) -> Option<Done> {
-        self.done_rx.recv().ok()
-    }
-
-    /// Bounded-wait [`FetchPool::recv`]: `Ok` on a completion,
-    /// `Err(true)` when `timeout` elapsed first, `Err(false)` when the
-    /// pool shut down.
     pub(crate) fn recv_timeout(&self, timeout: std::time::Duration) -> Result<Done, bool> {
         use crossbeam::channel::RecvTimeoutError;
         self.done_rx.recv_timeout(timeout).map_err(|e| match e {
@@ -545,6 +532,9 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Upper bound on any single completion wait in these tests.
+    const WAIT: std::time::Duration = std::time::Duration::from_secs(30);
+
     struct CountingSource(AtomicUsize);
 
     impl PageSource for CountingSource {
@@ -565,10 +555,15 @@ mod tests {
             let mut done = 0;
             for batch in 0..3 {
                 for i in 0..10 {
-                    assert!(pool.submit(Url::new(format!("/b{batch}/{i}")), "P".into()));
+                    assert!(pool.submit_tagged(
+                        Url::new(format!("/b{batch}/{i}")),
+                        "P".into(),
+                        0,
+                        false
+                    ));
                 }
                 for _ in 0..10 {
-                    let d = pool.recv().expect("pool alive");
+                    let d = pool.recv_timeout(WAIT).expect("pool alive");
                     assert!(d.outcome.is_ok());
                     done += 1;
                 }
@@ -583,10 +578,10 @@ mod tests {
     fn completions_report_not_found() {
         let src = CountingSource(AtomicUsize::new(0));
         with_pool(&src, 2, None, None, None, |pool| {
-            assert!(pool.submit(Url::new("/ok"), "P".into()));
-            assert!(pool.submit(Url::new("/missing"), "P".into()));
+            assert!(pool.submit_tagged(Url::new("/ok"), "P".into(), 0, false));
+            assert!(pool.submit_tagged(Url::new("/missing"), "P".into(), 0, false));
             let outcomes: Vec<_> = (0..2)
-                .map(|_| pool.recv().expect("pool alive").outcome)
+                .map(|_| pool.recv_timeout(WAIT).expect("pool alive").outcome)
                 .collect();
             assert_eq!(outcomes.iter().filter(|o| o.is_ok()).count(), 1);
             assert!(outcomes
@@ -602,9 +597,9 @@ mod tests {
         // still terminate the workers (scope join would hang otherwise).
         with_pool(&src, 3, None, None, None, |pool| {
             for i in 0..20 {
-                assert!(pool.submit(Url::new(format!("/{i}")), "P".into()));
+                assert!(pool.submit_tagged(Url::new(format!("/{i}")), "P".into(), 0, false));
             }
-            pool.recv().expect("pool alive");
+            pool.recv_timeout(WAIT).expect("pool alive");
         });
     }
 
@@ -626,10 +621,10 @@ mod tests {
         let src = CountingSource(AtomicUsize::new(0));
         with_pool(&src, 3, Some(&sink), None, None, |pool| {
             for i in 0..6 {
-                assert!(pool.submit(Url::new(format!("/{i}")), "P".into()));
+                assert!(pool.submit_tagged(Url::new(format!("/{i}")), "P".into(), 0, false));
             }
             for _ in 0..6 {
-                pool.recv().expect("pool alive");
+                pool.recv_timeout(WAIT).expect("pool alive");
             }
         });
         let events: Vec<_> = sink
@@ -658,9 +653,9 @@ mod tests {
         let sink = TraceSink::with_seed(1);
         with_pool(&SlowSource, 2, Some(&sink), None, None, |pool| {
             for i in 0..50 {
-                assert!(pool.submit(Url::new(format!("/{i}")), "P".into()));
+                assert!(pool.submit_tagged(Url::new(format!("/{i}")), "P".into(), 0, false));
             }
-            pool.recv().expect("pool alive");
+            pool.recv_timeout(WAIT).expect("pool alive");
         });
         let events: Vec<_> = sink
             .events()
@@ -929,11 +924,11 @@ mod tests {
         let token = obs::CancelToken::new();
         token.cancel_url("/dead");
         with_pool(&src, 2, None, None, Some(&token), |pool| {
-            assert!(pool.submit(Url::new("/live"), "P".into()));
-            assert!(pool.submit(Url::new("/dead"), "P".into()));
+            assert!(pool.submit_tagged(Url::new("/live"), "P".into(), 0, false));
+            assert!(pool.submit_tagged(Url::new("/dead"), "P".into(), 0, false));
             let outcomes: Vec<_> = (0..2)
                 .map(|_| {
-                    let d = pool.recv().expect("pool alive");
+                    let d = pool.recv_timeout(WAIT).expect("pool alive");
                     (d.url, d.outcome)
                 })
                 .collect();
@@ -959,11 +954,11 @@ mod tests {
         let total = with_pool(&coalesced, 4, None, None, None, |pool| {
             for _ in 0..4 {
                 for i in 0..5 {
-                    assert!(pool.submit(Url::new(format!("/{i}")), "P".into()));
+                    assert!(pool.submit_tagged(Url::new(format!("/{i}")), "P".into(), 0, false));
                 }
             }
             (0..20)
-                .filter(|_| pool.recv().expect("pool alive").outcome.is_ok())
+                .filter(|_| pool.recv_timeout(WAIT).expect("pool alive").outcome.is_ok())
                 .count()
         });
         assert_eq!(total, 20, "every submitted job completes");
@@ -1027,11 +1022,15 @@ mod tests {
     #[test]
     fn worker_panic_surfaces_as_source_error() {
         with_pool(&PanickySource, 2, None, None, None, |pool| {
-            assert!(pool.submit(Url::new("/ok"), "P".into()));
-            assert!(pool.submit(Url::new("/boom"), "P".into()));
-            assert!(pool.submit(Url::new("/ok2"), "P".into()));
+            assert!(pool.submit_tagged(Url::new("/ok"), "P".into(), 0, false));
+            assert!(pool.submit_tagged(Url::new("/boom"), "P".into(), 0, false));
+            assert!(pool.submit_tagged(Url::new("/ok2"), "P".into(), 0, false));
             let outcomes: Vec<_> = (0..3)
-                .map(|_| pool.recv().expect("workers survive panics").outcome)
+                .map(|_| {
+                    pool.recv_timeout(WAIT)
+                        .expect("workers survive panics")
+                        .outcome
+                })
                 .collect();
             assert_eq!(outcomes.iter().filter(|o| o.is_ok()).count(), 2);
             let err = outcomes

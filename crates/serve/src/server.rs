@@ -177,10 +177,8 @@ pub struct QueryServer<'a, S: PageSource + Sync> {
     tracing: Option<ServeTracing>,
     slo: Option<SloTracker>,
     recorder: Option<FlightRecorder>,
-    /// Default per-request deadline budget in µs (explicit override).
+    /// Default per-request deadline budget in µs.
     deadline_budget_us: Option<u64>,
-    /// Derive the default budget from the attached SLO's objective.
-    deadline_from_slo: bool,
     hedge: Option<nalg::HedgeConfig>,
     relevance: bool,
     registry: MetricsRegistry,
@@ -219,7 +217,6 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
             slo: None,
             recorder: None,
             deadline_budget_us: None,
-            deadline_from_slo: false,
             hedge: None,
             relevance: false,
             requests: registry.counter("requests"),
@@ -229,12 +226,6 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
             view_fallbacks: registry.counter("views_fallback"),
             registry,
         }
-    }
-
-    /// Sets the plan-cache capacity (builder style).
-    pub fn with_plan_cache_capacity(mut self, capacity: usize) -> Self {
-        self.plan_cache = PlanCache::with_registry(capacity, &self.registry);
-        self
     }
 
     /// Sets the admission limit: at most `capacity` concurrent sessions,
@@ -332,16 +323,6 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
         self
     }
 
-    /// Derives the default deadline budget from the attached SLO's
-    /// latency objective (`threshold_us`), so the server never spends
-    /// longer on a request than the objective it is judged against. An
-    /// explicit [`QueryServer::with_deadline_budget`] wins; without an
-    /// SLO attached this is a no-op.
-    pub fn with_deadline_from_slo(mut self) -> Self {
-        self.deadline_from_slo = true;
-        self
-    }
-
     /// Hedges laggard pooled fetches in served sessions (see
     /// [`QuerySession::with_hedging`]): after `cfg.delay_us` in flight,
     /// one backup GET races the primary; the first response wins and the
@@ -361,19 +342,11 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
         self
     }
 
-    /// The default deadline for [`QueryServer::serve`]: the explicit
-    /// budget if set, else the SLO objective when opted in, else
-    /// infinite.
+    /// The default deadline for [`QueryServer::serve`]: the budget if
+    /// set, else infinite.
     fn default_deadline(&self) -> obs::Deadline {
-        if let Some(us) = self.deadline_budget_us {
-            return obs::Deadline::after_us(us);
-        }
-        if self.deadline_from_slo {
-            if let Some(slo) = &self.slo {
-                return obs::Deadline::after_us(slo.objective().threshold_us);
-            }
-        }
-        obs::Deadline::infinite()
+        self.deadline_budget_us
+            .map_or_else(obs::Deadline::infinite, obs::Deadline::after_us)
     }
 
     /// The `serve`-prefixed registry (requests, shed, plan-cache

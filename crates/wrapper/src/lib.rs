@@ -24,7 +24,7 @@ pub mod wrap;
 
 pub use dom::{Document, Element, Node};
 pub use error::WrapError;
-pub use wrap::{wrap_page, wrap_page_columnar};
+pub use wrap::wrap_page;
 
 /// Crate-wide result alias.
 pub type Result<T> = std::result::Result<T, WrapError>;

@@ -9,7 +9,7 @@
 use crate::dom::{Document, Element};
 use crate::error::WrapError;
 use crate::Result;
-use adm::{ColumnRel, ColumnRelBuilder, Field, PageScheme, Tuple, Value, WebType};
+use adm::{Field, PageScheme, Tuple, Value, WebType};
 
 /// Finds the element carrying `data-attr == name` within `scope`, without
 /// crossing into nested lists.
@@ -60,37 +60,27 @@ fn extract_value(field: &Field, el: &Element) -> Result<Value> {
     }
 }
 
-/// Extracts all fields of one nesting level as a flat value row, in scheme
-/// order. The shared core of both the tuple and the columnar wrapper.
-fn extract_row(fields: &[Field], scope: &Element, context: &str) -> Result<Vec<Value>> {
-    let mut vals = Vec::with_capacity(fields.len());
+/// Extracts all fields of one nesting level from a scope element.
+fn extract_fields(fields: &[Field], scope: &Element, context: &str) -> Result<Tuple> {
+    let mut pairs = Vec::with_capacity(fields.len());
     for f in fields {
-        match find_scoped(scope, &f.name) {
-            Some(el) => vals.push(extract_value(f, el)?),
-            None if f.optional => vals.push(Value::Null),
-            None if matches!(f.ty, WebType::List(_)) => {
-                // An empty list legitimately renders as an empty <ul>; if
-                // even the <ul> is missing, treat as empty list as well —
-                // real sites omit empty sections.
-                vals.push(Value::List(vec![]));
-            }
+        let v = match find_scoped(scope, &f.name) {
+            Some(el) => extract_value(f, el)?,
+            None if f.optional => Value::Null,
+            // An empty list legitimately renders as an empty <ul>; if even
+            // the <ul> is missing, treat as empty list as well — real
+            // sites omit empty sections.
+            None if matches!(f.ty, WebType::List(_)) => Value::List(vec![]),
             None => {
                 return Err(WrapError::MissingAttribute {
                     attr: f.name.clone(),
                     scheme: context.to_string(),
                 });
             }
-        }
+        };
+        pairs.push((f.name.clone(), v));
     }
-    Ok(vals)
-}
-
-/// Extracts all fields of one nesting level from a scope element.
-fn extract_fields(fields: &[Field], scope: &Element, context: &str) -> Result<Tuple> {
-    let vals = extract_row(fields, scope, context)?;
-    Ok(Tuple::from_pairs(
-        fields.iter().map(|f| f.name.clone()).zip(vals).collect(),
-    ))
+    Ok(Tuple::from_pairs(pairs))
 }
 
 /// Wraps a page: parses `html` and extracts the nested tuple described by
@@ -107,27 +97,6 @@ pub fn wrap_page(scheme: &PageScheme, html: &str) -> Result<Tuple> {
         return Err(WrapError::BadStructure("empty document".into()));
     };
     Ok(tuple)
-}
-
-/// Wraps a page straight into a single-row columnar relation: the extracted
-/// value row goes into a [`ColumnRelBuilder`] without materializing the
-/// intermediate nested [`Tuple`], and text/link payloads are interned as
-/// they land in the typed columns. Column names are the scheme's field
-/// names (unqualified — the evaluator qualifies by alias).
-pub fn wrap_page_columnar(scheme: &PageScheme, html: &str) -> Result<ColumnRel> {
-    let doc = Document::parse(html)?;
-    let row = if let Some(container) = doc.find(|e| e.has_class("adm-page")) {
-        extract_row(&scheme.fields, container, &scheme.name)?
-    } else if let Some(root) = doc.root_elements().next() {
-        extract_row(&scheme.fields, root, &scheme.name)?
-    } else {
-        return Err(WrapError::BadStructure("empty document".into()));
-    };
-    let names: Vec<&str> = scheme.fields.iter().map(|f| f.name.as_str()).collect();
-    let mut b = ColumnRelBuilder::new(&names);
-    b.push_row(&row)
-        .expect("row arity equals scheme field count by construction");
-    Ok(b.finish())
 }
 
 #[cfg(test)]
@@ -296,43 +265,6 @@ mod tests {
         let html = r#"<html><body><span data-attr="A">val</span></body></html>"#;
         let t = wrap_page(&scheme, html).unwrap();
         assert_eq!(t.get("A").unwrap().as_text(), Some("val"));
-    }
-
-    #[test]
-    fn columnar_wrap_equals_tuple_wrap() {
-        let scheme = session_scheme();
-        let t = wrap_page(&scheme, SESSION_HTML).unwrap();
-        let c = wrap_page_columnar(&scheme, SESSION_HTML).unwrap();
-        assert_eq!(c.len(), 1);
-        // Field for field, the columnar row materializes to the same tuple.
-        assert_eq!(c.tuple_at(0), t);
-        // And round-trips through the boundary Relation byte-identically.
-        let mut r = adm::Relation::new(
-            scheme
-                .fields
-                .iter()
-                .map(|f| f.name.clone())
-                .collect::<Vec<_>>(),
-        );
-        r.push_row(t.into_pairs().into_iter().map(|(_, v)| v).collect())
-            .unwrap();
-        assert_eq!(c.to_relation(), r);
-    }
-
-    #[test]
-    fn columnar_wrap_preserves_empty_list_and_null() {
-        let scheme = PageScheme::new(
-            "P",
-            vec![
-                Field::optional("B", WebType::Text),
-                Field::list("L", vec![Field::text("X")]),
-            ],
-        )
-        .unwrap();
-        let html = r#"<div class="adm-page"></div>"#;
-        let c = wrap_page_columnar(&scheme, html).unwrap();
-        assert!(c.value_at(0, 0).is_null());
-        assert_eq!(c.value_at(0, 1), Value::List(vec![]));
     }
 
     #[test]

@@ -1,21 +1,24 @@
-//! Property pin for the columnar evaluator (ISSUE 9): chunk-at-a-time
-//! execution must be observationally identical to the row-at-a-time path
-//! it replaced — same rows (after the canonical sort), same rendered
-//! table bytes, and the same value for **every** access counter, because
-//! the page-access counters are the paper's cost-model ground truth.
-//!
-//! The row path survives behind [`Evaluator::row_path`] exactly so this
-//! test can keep pinning the equivalence on arbitrary seeded sites, for
-//! the sequential evaluator, the 3-worker pooled evaluator, and both with
-//! and without the shared page cache.
+//! Property pin for the columnar evaluator: on arbitrary seeded sites its
+//! answers and access counters must match an independent oracle, the
+//! naive reference NALG interpreter in `tests/reference` — same header,
+//! same rows (after the canonical sort), every distinct URL the plan asks
+//! for acquired exactly once (downloaded, served by the shared cache, or
+//! found dangling), and the paper's per-navigation distinct-link charge.
+//! The sequential evaluator and the 1- and 3-worker pooled evaluators,
+//! each with and without the shared page cache, must moreover agree with
+//! each other on the rendered answer and every counter.
+
+mod reference;
 
 use proptest::prelude::*;
+use reference::Reference;
 use webviews::nalg::SharedPageCache;
 use webviews::prelude::*;
 
-/// The three plan shapes the paper's experiments exercise: a pointer
+/// The three plan shapes the paper's experiments exercise — a pointer
 /// chase through the department hierarchy, a pointer join intersecting
-/// two navigation frontiers, and a flat scan-select-project.
+/// two navigation frontiers, and a flat scan-select-project — plus a plan
+/// that visits the same pages twice.
 fn plans() -> Vec<(&'static str, NalgExpr)> {
     let chase = NalgExpr::entry("DeptListPage")
         .unnest("DeptList")
@@ -53,86 +56,112 @@ fn plans() -> Vec<(&'static str, NalgExpr)> {
         .unnest("DeptPage.ProfList")
         .follow("DeptPage.ProfList.ToProf", "ProfPage")
         .project(vec!["ProfPage.PName", "ProfPage.Rank"]);
-    vec![("chase", chase), ("join", join), ("scan", scan)]
+    // Professor pages reached along two navigations and joined on their
+    // URL: the second visit to each page is a per-query cache hit.
+    let by_list = NalgExpr::entry("ProfListPage")
+        .unnest("ProfList")
+        .follow("ToProf", "ProfPage");
+    let by_dept = NalgExpr::entry("DeptListPage")
+        .unnest("DeptList")
+        .follow("ToDept", "DeptPage")
+        .unnest("DeptPage.ProfList")
+        .follow_as("DeptPage.ProfList.ToProf", "ProfPage", "P2");
+    let revisit = by_list
+        .join(by_dept, vec![("ProfPage.URL", "P2.URL")])
+        .project(vec!["ProfPage.PName", "DeptPage.DName"]);
+    vec![
+        ("chase", chase),
+        ("join", join),
+        ("scan", scan),
+        ("revisit", revisit),
+    ]
 }
 
-/// Evaluates `expr` twice with identical configuration — columnar
-/// (default) and row path — and asserts observational equivalence.
-fn assert_paths_agree(
-    site: &websim::Site,
-    expr: &NalgExpr,
-    label: &str,
-    workers: usize,
-    shared: bool,
-) {
+/// Evaluates `expr` with the reference interpreter and with the engine in
+/// every configuration, asserting each engine run against the reference
+/// and against the first (sequential) run.
+fn assert_matches_reference(site: &websim::Site, expr: &NalgExpr, label: &str) {
     let source = LiveSource::for_site(site);
-    // Each path gets its own fresh shared cache: the cache is part of the
-    // configuration under test, not state carried between the two runs.
-    let col_cache = SharedPageCache::with_byte_budget(1 << 20);
-    let row_cache = SharedPageCache::with_byte_budget(1 << 20);
-    let mut col_eval = Evaluator::new(&site.scheme, &source).with_concurrent_fetch(workers);
-    let mut row_eval = Evaluator::new(&site.scheme, &source)
-        .with_concurrent_fetch(workers)
-        .row_path();
-    if shared {
-        col_eval = col_eval.with_shared_cache(&col_cache);
-        row_eval = row_eval.with_shared_cache(&row_cache);
-    }
-    let col = col_eval.eval(expr).expect("columnar eval");
-    let row = row_eval.eval(expr).expect("row eval");
+    let mut oracle = Reference::new(&site.scheme, &source);
+    let expected = oracle.eval(expr);
+    let header = expected.header();
+    let expected = expected.into_relation().sorted();
 
-    let ctx = format!("{label} (workers={workers}, shared={shared})");
-    prop_assert_eq!(
-        col.relation.sorted(),
-        row.relation.sorted(),
-        "{}: rows diverged",
-        &ctx
-    );
-    prop_assert_eq!(
-        col.relation.to_table(),
-        row.relation.to_table(),
-        "{}: rendered tables diverged",
-        &ctx
-    );
-    prop_assert_eq!(
-        col.page_accesses,
-        row.page_accesses,
-        "{}: page_accesses",
-        &ctx
-    );
-    prop_assert_eq!(col.cache_hits, row.cache_hits, "{}: cache_hits", &ctx);
-    prop_assert_eq!(
-        col.shared_cache_hits,
-        row.shared_cache_hits,
-        "{}: shared_cache_hits",
-        &ctx
-    );
-    prop_assert_eq!(col.broken_links, row.broken_links, "{}: broken_links", &ctx);
-    prop_assert_eq!(
-        col.accesses_by_operator.clone(),
-        row.accesses_by_operator.clone(),
-        "{}: accesses_by_operator",
-        &ctx
-    );
-    let sort_urls = |mut v: Vec<Url>| {
-        v.sort();
-        v
-    };
-    prop_assert_eq!(
-        sort_urls(col.unreachable.clone()),
-        sort_urls(row.unreachable.clone()),
-        "{}: unreachable",
-        &ctx
-    );
+    let mut first: Option<EvalReport> = None;
+    for workers in [None, Some(1usize), Some(3)] {
+        for shared in [false, true] {
+            // Each run gets its own fresh shared cache: the cache is part
+            // of the configuration under test, not state carried over.
+            let cache = SharedPageCache::with_byte_budget(1 << 20);
+            let mut ev = Evaluator::new(&site.scheme, &source);
+            if let Some(w) = workers {
+                ev = ev.with_concurrent_fetch(w);
+            }
+            if shared {
+                ev = ev.with_shared_cache(&cache);
+            }
+            let got = ev.eval(expr).expect("engine eval");
+            let ctx = format!("{label} (workers={workers:?}, shared={shared})");
+
+            prop_assert_eq!(got.relation.columns(), &header[..], "{}: header", &ctx);
+            prop_assert_eq!(got.relation.sorted(), expected.clone(), "{}: rows", &ctx);
+            prop_assert_eq!(
+                got.page_accesses + got.shared_cache_hits + got.broken_links,
+                oracle.distinct_urls(),
+                "{}: distinct URLs acquired",
+                &ctx
+            );
+            prop_assert_eq!(
+                got.accesses_by_operator.clone(),
+                oracle.navigations.clone(),
+                "{}: accesses_by_operator",
+                &ctx
+            );
+
+            let Some(base) = &first else {
+                first = Some(got);
+                continue;
+            };
+            prop_assert_eq!(
+                got.relation.to_table(),
+                base.relation.to_table(),
+                "{}: rendered tables diverged",
+                &ctx
+            );
+            prop_assert_eq!(
+                got.page_accesses,
+                base.page_accesses,
+                "{}: page_accesses",
+                &ctx
+            );
+            prop_assert_eq!(got.cache_hits, base.cache_hits, "{}: cache_hits", &ctx);
+            prop_assert_eq!(
+                got.shared_cache_hits,
+                base.shared_cache_hits,
+                "{}: shared_cache_hits",
+                &ctx
+            );
+            prop_assert_eq!(
+                got.broken_links,
+                base.broken_links,
+                "{}: broken_links",
+                &ctx
+            );
+            prop_assert_eq!(
+                got.unreachable.clone(),
+                base.unreachable.clone(),
+                "{}: unreachable",
+                &ctx
+            );
+        }
+    }
 }
 
-// Columnar ≡ row on arbitrary seeded sites: every plan shape, the
-// sequential and the 3-worker pooled evaluator, with and without the
-// shared page cache.
+// Engine ≡ reference on arbitrary seeded sites, for every plan shape.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
     #[test]
-    fn columnar_matches_row_path_on_seeded_sites(
+    fn columnar_matches_reference_on_seeded_sites(
         departments in 1usize..4,
         extra_profs in 0usize..8,
         courses in 2usize..16,
@@ -146,11 +175,7 @@ proptest! {
             ..UniversityConfig::default()
         }).unwrap();
         for (label, expr) in plans() {
-            for workers in [1usize, 3] {
-                for shared in [false, true] {
-                    assert_paths_agree(&u.site, &expr, label, workers, shared);
-                }
-            }
+            assert_matches_reference(&u.site, &expr, label);
         }
     }
 }
@@ -159,13 +184,9 @@ proptest! {
 /// pin deterministically, so a divergence fails fast even under
 /// `proptest`-skipping test filters.
 #[test]
-fn columnar_matches_row_path_on_default_site() {
+fn columnar_matches_reference_on_default_site() {
     let u = University::generate(UniversityConfig::default()).unwrap();
     for (label, expr) in plans() {
-        for workers in [1usize, 3] {
-            for shared in [false, true] {
-                assert_paths_agree(&u.site, &expr, label, workers, shared);
-            }
-        }
+        assert_matches_reference(&u.site, &expr, label);
     }
 }

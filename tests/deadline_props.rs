@@ -4,13 +4,13 @@
 //!
 //! Two pins on arbitrary seeded sites:
 //!
-//! 1. **Inert plumbing** — an evaluator carrying an *infinite* deadline
-//!    and a live cancel token (but no hedging) is observationally
-//!    identical to the plain evaluator: same rows, same rendered table,
-//!    and the same value for every access counter. The budgeted drain
-//!    only diverges from the pre-budget submit/recv loop when a finite
-//!    deadline or a hedge config is present — this pin holds that door
-//!    shut.
+//! 1. **Inert plumbing** — a pooled evaluator carrying an *infinite*
+//!    deadline and a live cancel token (but no hedging) is
+//!    observationally identical to the sequential evaluator: same rows,
+//!    same rendered table, and the same value for every access counter.
+//!    The pooled drain's budget and hedge machinery only acts when a
+//!    finite deadline or a hedge config is present — this pin holds that
+//!    door shut.
 //!
 //! 2. **Hedge invisibility** — with hedging enabled under latency-only
 //!    chaos (seeded slowdowns that never change bytes), the answer and
@@ -66,7 +66,8 @@ fn plans() -> Vec<(&'static str, NalgExpr)> {
     vec![("chase", chase), ("join", join), ("scan", scan)]
 }
 
-/// Pin 1 body: plain vs infinite-deadline-plus-token, every counter.
+/// Pin 1 body: sequential vs pooled infinite-deadline-plus-token, every
+/// counter.
 fn assert_inert_budget_is_identity(
     site: &websim::Site,
     expr: &NalgExpr,
@@ -74,22 +75,15 @@ fn assert_inert_budget_is_identity(
     workers: usize,
 ) {
     let source = LiveSource::for_site(site);
-    let plain = {
-        let mut ev = Evaluator::new(&site.scheme, &source);
-        if workers > 1 {
-            ev = ev.with_concurrent_fetch(workers);
-        }
-        ev.eval(expr).expect("plain eval")
-    };
-    let budgeted = {
-        let mut ev = Evaluator::new(&site.scheme, &source)
-            .with_deadline(Deadline::infinite())
-            .with_cancel_token(CancelToken::new());
-        if workers > 1 {
-            ev = ev.with_concurrent_fetch(workers);
-        }
-        ev.eval(expr).expect("budgeted eval")
-    };
+    let plain = Evaluator::new(&site.scheme, &source)
+        .eval(expr)
+        .expect("sequential eval");
+    let budgeted = Evaluator::new(&site.scheme, &source)
+        .with_concurrent_fetch(workers)
+        .with_deadline(Deadline::infinite())
+        .with_cancel_token(CancelToken::new())
+        .eval(expr)
+        .expect("budgeted eval");
     let ctx = format!("{label} (workers={workers})");
     assert_eq!(
         budgeted.relation.sorted(),
