@@ -8,7 +8,7 @@
 //! is exhausted). The warm-cache rows skip the network entirely.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use nalg::{Evaluator, NalgExpr, SharedPageCache};
+use nalg::{Evaluator, ExecOptions, NalgExpr, SharedPageCache};
 use std::time::Duration;
 use websim::sitegen::{University, UniversityConfig};
 use wvcore::LiveSource;
@@ -20,6 +20,14 @@ fn course_navigation() -> NalgExpr {
         .unnest("SessionPage.CourseList")
         .follow("SessionPage.CourseList.ToCourse", "CoursePage")
         .project(vec!["CoursePage.CName", "CoursePage.Type"])
+}
+
+/// One worker is the sequential evaluator; more spawn a pool.
+fn pool(workers: usize) -> ExecOptions {
+    ExecOptions {
+        workers: if workers > 1 { workers } else { 0 },
+        ..ExecOptions::default()
+    }
 }
 
 fn bench_concurrent_eval(c: &mut Criterion) {
@@ -34,12 +42,12 @@ fn bench_concurrent_eval(c: &mut Criterion) {
         for workers in [1usize, 2, 4, 8, 16] {
             group.bench_with_input(BenchmarkId::new("cold", workers), &workers, |b, &w| {
                 b.iter(|| {
-                    let ev = if w <= 1 {
-                        Evaluator::new(&u.site.scheme, &source)
-                    } else {
-                        Evaluator::new(&u.site.scheme, &source).with_concurrent_fetch(w)
-                    };
-                    ev.eval(&plan).unwrap().relation.len()
+                    Evaluator::new(&u.site.scheme, &source)
+                        .with_options(pool(w))
+                        .eval(&plan)
+                        .unwrap()
+                        .relation
+                        .len()
                 })
             });
             group.bench_with_input(
@@ -53,12 +61,9 @@ fn bench_concurrent_eval(c: &mut Criterion) {
                         .eval(&plan)
                         .unwrap();
                     b.iter(|| {
-                        let ev = if w <= 1 {
-                            Evaluator::new(&u.site.scheme, &source)
-                        } else {
-                            Evaluator::new(&u.site.scheme, &source).with_concurrent_fetch(w)
-                        };
-                        ev.with_shared_cache(&cache)
+                        Evaluator::new(&u.site.scheme, &source)
+                            .with_options(pool(w))
+                            .with_shared_cache(&cache)
                             .eval(&plan)
                             .unwrap()
                             .relation

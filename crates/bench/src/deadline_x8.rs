@@ -34,6 +34,7 @@
 use crate::serving::zipf_schedule;
 use crate::table::Table;
 use adm::{Field, PageScheme, Tuple, Url, Value, WebScheme};
+use nalg::ExecOptions;
 use obs::FixedHistogram;
 use resilience::HedgePolicy;
 use serve::QueryServer;
@@ -199,7 +200,7 @@ struct ArmStats {
 /// Drives one closed-loop schedule through a server with `workers`
 /// threads (the X5 closed loop, minus the open-loop variant — queueing
 /// is not what X8 measures).
-fn drive_arm<S: nalg::PageSource + Sync>(
+fn drive_arm<S: nalg::PageSource>(
     server: &QueryServer<'_, S>,
     queries: &[(&'static str, ConjunctiveQuery)],
     schedule: &[usize],
@@ -326,7 +327,10 @@ pub fn relevance_micro() -> RelevanceMicro {
         .select(nalg::Pred::eq("Items.Name", "b"));
     let plain = nalg::Evaluator::new(&ws, &src).eval(&e).expect("plain");
     let pruned = nalg::Evaluator::new(&ws, &src)
-        .with_relevance_cancel()
+        .with_options(ExecOptions {
+            relevance: true,
+            ..ExecOptions::default()
+        })
         .eval(&e)
         .expect("pruned");
     RelevanceMicro {
@@ -445,8 +449,11 @@ pub fn x8_deadline(cfg: &DeadlineLoadConfig) -> DeadlineSmoke {
     let hedge_policy = HedgePolicy::new(hedge_delay_us).with_jitter_seed(cfg.seed);
     let server = QueryServer::new(&u.site.scheme, &catalog, &stats, &live)
         .with_admission_capacity(cfg.workers)
-        .with_concurrent_fetch(cfg.fetch_workers)
-        .with_hedging(hedge_policy.config());
+        .with_options(ExecOptions {
+            workers: cfg.fetch_workers,
+            hedge: Some(hedge_policy.config()),
+            ..ExecOptions::default()
+        });
     warm(&server);
     u.site.server.reset_stats();
     let hedge_warm = hedge_policy.snapshot();
@@ -462,9 +469,12 @@ pub fn x8_deadline(cfg: &DeadlineLoadConfig) -> DeadlineSmoke {
     let guarded_policy = HedgePolicy::new(hedge_delay_us).with_jitter_seed(cfg.seed ^ 1);
     let server = QueryServer::new(&u.site.scheme, &catalog, &stats, &live)
         .with_admission_capacity(cfg.workers)
-        .with_concurrent_fetch(cfg.fetch_workers)
-        .with_deadline_budget(budget_us)
-        .with_hedging(guarded_policy.config());
+        .with_options(ExecOptions {
+            workers: cfg.fetch_workers,
+            hedge: Some(guarded_policy.config()),
+            ..ExecOptions::default()
+        })
+        .with_deadline_budget(budget_us);
     warm(&server);
     u.site.server.reset_stats();
     let guarded_warm = guarded_policy.snapshot();

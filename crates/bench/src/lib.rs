@@ -32,7 +32,7 @@ pub use serving::{x5_serving, ServeLoadConfig, ServeSmoke};
 pub use sweep::{sweep_rows_per_sec, SweepSmoke};
 
 use fixtures::*;
-use nalg::Evaluator;
+use nalg::{AuditConfig, Evaluator, ExecOptions};
 use table::Table;
 use websim::sitegen::{BibConfig, Bibliography, University, UniversityConfig};
 use wvcore::{ConjunctiveQuery, LiveSource, Optimizer, QuerySession, RuleMask, SiteStatistics};
@@ -515,11 +515,10 @@ pub fn x1_latency_hiding(latency_ms: u64, workers: &[usize]) -> Table {
         .set_latency(std::time::Duration::from_millis(latency_ms));
     let mut baseline: Option<(f64, adm::Relation, u64)> = None;
     for &w in workers {
-        let evaluator = if w <= 1 {
-            Evaluator::new(&u.site.scheme, &source)
-        } else {
-            Evaluator::new(&u.site.scheme, &source).with_concurrent_fetch(w)
-        };
+        let evaluator = Evaluator::new(&u.site.scheme, &source).with_options(ExecOptions {
+            workers: if w > 1 { w } else { 0 },
+            ..ExecOptions::default()
+        });
         let t0 = std::time::Instant::now();
         let report = evaluator.eval(&plan).expect("plan evaluates");
         let elapsed = t0.elapsed().as_secs_f64() * 1e3;
@@ -662,7 +661,10 @@ fn x3_chaos_inner(rates_pct: &[u8]) -> (Table, resilience::ResilienceSnapshot) {
         u.site.server.reset_stats();
         let resilient = ResilientSource::new(&source, RetryPolicy::new(4));
         let report = Evaluator::new(&u.site.scheme, &resilient)
-            .with_degradation(nalg::DegradationMode::Partial)
+            .with_options(ExecOptions {
+                degradation: nalg::DegradationMode::Partial,
+                ..ExecOptions::default()
+            })
             .eval(&plan)
             .expect("plan evaluates");
         let stats = u.site.server.stats();
@@ -880,7 +882,10 @@ pub fn x4_drift(drift_seed: u64) -> DriftSmoke {
         for rate in [0.0, 0.25, 0.5, 1.0] {
             let health = ConstraintHealth::new();
             let out = QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
-                .with_audit(rate, AUDIT_SEED)
+                .with_options(ExecOptions {
+                    audit: Some(AuditConfig::new(rate, AUDIT_SEED)),
+                    ..ExecOptions::default()
+                })
                 .with_constraint_health(&health)
                 .run(q)
                 .expect("audited run");
@@ -916,7 +921,10 @@ pub fn x4_drift(drift_seed: u64) -> DriftSmoke {
     let health = ConstraintHealth::new();
     let mut fallbacks_match_naive = true;
     let session = QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
-        .with_audit(1.0, AUDIT_SEED)
+        .with_options(ExecOptions {
+            audit: Some(AuditConfig::new(1.0, AUDIT_SEED)),
+            ..ExecOptions::default()
+        })
         .with_constraint_health(&health);
     for pass in 1..=2u32 {
         for ((label, q), naive) in queries.iter().zip(&naives) {
@@ -1184,7 +1192,10 @@ mod tests {
         let source = LiveSource::for_site(&u.site);
         let health = resilience::ConstraintHealth::new();
         let audited = QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
-            .with_audit(1.0, 0xA0D17)
+            .with_options(ExecOptions {
+                audit: Some(AuditConfig::new(1.0, 0xA0D17)),
+                ..ExecOptions::default()
+            })
             .with_constraint_health(&health);
         let plain = QuerySession::new(&u.site.scheme, &catalog, &stats, &source);
         for (label, q) in university_workload() {

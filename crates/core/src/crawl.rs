@@ -70,7 +70,7 @@ pub fn crawl_instance(ws: &WebScheme, source: &impl PageSource) -> SiteInstance 
 /// Produces exactly the same instance as [`crawl_instance`].
 pub fn crawl_instance_parallel(
     ws: &WebScheme,
-    source: &(impl PageSource + Sync),
+    source: &impl PageSource,
     workers: usize,
 ) -> SiteInstance {
     let workers = workers.max(1);

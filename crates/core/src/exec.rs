@@ -6,7 +6,7 @@
 //! page accesses, so experiments can validate the cost model (estimated
 //! vs. actual) with one call.
 //!
-//! **Constraint-drift defense.** With [`QuerySession::with_audit`] set,
+//! **Constraint-drift defense.** With [`ExecOptions::audit`] set,
 //! each run samples the pages it fetched and re-checks exactly the
 //! constraints the winning plan assumed (its
 //! [`CandidatePlan::dependencies`]). A clean audit changes nothing —
@@ -28,7 +28,7 @@ use crate::stats::SiteStatistics;
 use crate::views::ViewCatalog;
 use crate::Result;
 use adm::WebScheme;
-use nalg::{AuditConfig, DegradationMode, EvalReport, Evaluator, PageSource, SharedPageCache};
+use nalg::{AuditConfig, EvalReport, Evaluator, ExecOptions, PageSource, SharedPageCache};
 use obs::trace::TraceSink;
 use resilience::ConstraintHealth;
 
@@ -123,29 +123,8 @@ pub struct QuerySession<'a, S: PageSource> {
     mask: RuleMask,
     use_incomplete: bool,
     shared_cache: Option<&'a SharedPageCache>,
-    degradation: DegradationMode,
-    trace: Option<TraceSink>,
-    /// Parent span id planner events and the top-level operator span
-    /// nest under (set by the serving layer's request root span).
-    trace_parent: Option<u64>,
-    /// `(rate, seed)` for runtime constraint auditing; `None` (or a zero
-    /// rate) disables it.
-    audit: Option<(f64, u64)>,
     health: Option<&'a ConstraintHealth>,
-    /// `(workers, enable)` — the fn pointer monomorphizes the `S: Sync`
-    /// bound at builder time so the rest of the session stays available
-    /// for non-`Sync` sources.
-    concurrency: Option<(usize, EnablePool<'a, S>)>,
-    deadline: Option<obs::Deadline>,
-    cancel: Option<obs::CancelToken>,
-    hedge: Option<nalg::HedgeConfig>,
-    relevance: bool,
-}
-
-type EnablePool<'a, S> = fn(Evaluator<'a, S>, usize) -> Evaluator<'a, S>;
-
-fn enable_pool<'a, S: PageSource + Sync>(ev: Evaluator<'a, S>, workers: usize) -> Evaluator<'a, S> {
-    ev.with_concurrent_fetch(workers)
+    opts: ExecOptions,
 }
 
 impl<'a, S: PageSource> QuerySession<'a, S> {
@@ -164,60 +143,20 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
             mask: RuleMask::all(),
             use_incomplete: false,
             shared_cache: None,
-            degradation: DegradationMode::FailFast,
-            trace: None,
-            trace_parent: None,
-            audit: None,
             health: None,
-            concurrency: None,
-            deadline: None,
-            cancel: None,
-            hedge: None,
-            relevance: false,
+            opts: ExecOptions::default(),
         }
     }
 
-    /// Bounds every evaluation in this session by `deadline`: once the
-    /// budget is gone, not-yet-fetched pages are reported in the
-    /// outcome's unreachable set (a brown-out) instead of being fetched
-    /// past it — even under [`DegradationMode::FailFast`].
-    pub fn with_deadline(mut self, deadline: obs::Deadline) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Attaches a cooperative cancellation token, shared with the fetch
-    /// pool so queued work for cancelled URLs is skipped pre-dispatch.
-    pub fn with_cancel_token(mut self, token: obs::CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Hedges laggard pooled fetches: after `cfg.delay_us` in flight one
-    /// backup GET races the primary and the first response wins. Rows
-    /// and every paper counter are unchanged; hedge activity lands only
-    /// in `cfg`'s counters. A no-op without concurrent fetch.
-    pub fn with_hedging(mut self, cfg: nalg::HedgeConfig) -> Self {
-        self.hedge = Some(cfg);
-        self
-    }
-
-    /// Cancels pending fetches that relevance analysis proves can no
-    /// longer contribute an output tuple (σ/⋈ residuals reject every
-    /// carrying row). Rows are unchanged; only downloads shrink.
-    pub fn with_relevance_cancel(mut self) -> Self {
-        self.relevance = true;
-        self
-    }
-
-    /// Enables runtime constraint auditing: each [`QuerySession::run`]
-    /// samples the pages it fetched (a page is audited with probability
-    /// `rate`, decided deterministically from `seed` and the URL) and
-    /// re-checks the constraints the winning plan assumed. A violated
-    /// audit triggers the default-navigation fallback. `rate` 0 disables
-    /// auditing entirely; auditing never fetches a page.
-    pub fn with_audit(mut self, rate: f64, seed: u64) -> Self {
-        self.audit = (rate > 0.0).then_some((rate.min(1.0), seed));
+    /// Sets how every evaluation in this session runs (see
+    /// [`ExecOptions`]). The trace sink and parent also cover planning:
+    /// [`QuerySession::explain`] records optimizer rule events under them.
+    /// With [`ExecOptions::audit`] set, each run samples the pages it
+    /// fetched (rate and seed from the option) against exactly the
+    /// constraints the winning plan assumed, and a violation triggers the
+    /// default-navigation fallback.
+    pub fn with_options(mut self, opts: ExecOptions) -> Self {
+        self.opts = opts;
         self
     }
 
@@ -228,33 +167,6 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
     /// logical clock so quarantines expire.
     pub fn with_constraint_health(mut self, health: &'a ConstraintHealth) -> Self {
         self.health = Some(health);
-        self
-    }
-
-    /// Attaches a trace sink: subsequent [`QuerySession::explain`] calls
-    /// record optimizer rule events and [`QuerySession::run`] /
-    /// [`QuerySession::execute`] calls record one span per executed
-    /// operator. Results and every reported counter are byte-identical
-    /// with or without a sink attached.
-    pub fn with_trace(mut self, sink: &TraceSink) -> Self {
-        self.trace = Some(sink.clone());
-        self
-    }
-
-    /// Parents everything this session traces — optimizer rule events,
-    /// the top-level operator span, audit events — under `parent`, so a
-    /// served request's planning and execution form one causal tree
-    /// rooted at the server's request span. A no-op without a sink.
-    pub fn with_trace_parent(mut self, parent: u64) -> Self {
-        self.trace_parent = Some(parent);
-        self
-    }
-
-    /// Sets what happens when a fetch ultimately fails during execution:
-    /// abort the query (`FailFast`, the default) or complete the plan over
-    /// reachable pages and report the unreachable-URL set (`Partial`).
-    pub fn with_degradation(mut self, mode: DegradationMode) -> Self {
-        self.degradation = mode;
         self
     }
 
@@ -270,18 +182,6 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
         self
     }
 
-    /// Evaluates plans with a persistent pool of `workers` fetch threads
-    /// (spawned once per evaluation, shared by every navigation in the
-    /// plan). Results and page-access counts are identical to sequential
-    /// execution; only wall-clock changes.
-    pub fn with_concurrent_fetch(mut self, workers: usize) -> Self
-    where
-        S: Sync,
-    {
-        self.concurrency = Some((workers.max(1), enable_pool::<S>));
-        self
-    }
-
     /// Shares a cross-query page cache between this session's queries (and
     /// anything else holding the cache — crawler, other sessions). Hits
     /// are reported as `shared_cache_hits`, never as page accesses.
@@ -290,47 +190,35 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
         self
     }
 
-    fn evaluator(&self) -> Evaluator<'a, S> {
-        self.evaluator_traced(self.trace.as_ref())
-    }
-
-    fn evaluator_traced(&self, trace: Option<&TraceSink>) -> Evaluator<'a, S> {
-        let mut ev = Evaluator::new(self.ws, self.source).with_degradation(self.degradation);
-        if let Some(cache) = self.shared_cache {
-            ev = ev.with_shared_cache(cache);
-        }
-        if let Some(sink) = trace {
-            ev = ev.with_trace(sink);
-            if let Some(parent) = self.trace_parent {
-                ev = ev.with_trace_parent(parent);
+    /// An evaluator under `opts`, auditing `plan`'s assumed constraints
+    /// when `opts.audit` is set (a constraint-free plan audits nothing).
+    fn evaluator(&self, opts: &ExecOptions, plan: Option<&CandidatePlan>) -> Evaluator<'a, S> {
+        let mut opts = opts.clone();
+        opts.audit = opts.audit.zip(plan).map(|(cfg, plan)| {
+            let mut audit = AuditConfig::new(cfg.rate, cfg.seed);
+            for d in &plan.dependencies {
+                match d {
+                    ConstraintDependency::Link(c) => audit.link.push(c.clone()),
+                    ConstraintDependency::Inclusion(c) => audit.inclusion.push(c.clone()),
+                }
             }
+            audit
+        });
+        let ev = Evaluator::new(self.ws, self.source).with_options(opts);
+        match self.shared_cache {
+            Some(cache) => ev.with_shared_cache(cache),
+            None => ev,
         }
-        if let Some((workers, enable)) = self.concurrency {
-            ev = enable(ev, workers);
-        }
-        if let Some(deadline) = self.deadline {
-            ev = ev.with_deadline(deadline);
-        }
-        if let Some(token) = &self.cancel {
-            ev = ev.with_cancel_token(token.clone());
-        }
-        if let Some(cfg) = &self.hedge {
-            ev = ev.with_hedging(cfg.clone());
-        }
-        if self.relevance {
-            ev = ev.with_relevance_cancel();
-        }
-        ev
     }
 
-    fn optimizer_traced(&self, trace: Option<&TraceSink>) -> Optimizer<'a> {
-        let mut opt = Optimizer::new(self.ws, self.catalog, self.stats).with_mask(self.mask);
+    fn optimizer(&self, mask: RuleMask, opts: &ExecOptions) -> Optimizer<'a> {
+        let mut opt = Optimizer::new(self.ws, self.catalog, self.stats).with_mask(mask);
         if self.use_incomplete {
             opt = opt.allow_incomplete_navigations();
         }
-        if let Some(sink) = trace {
+        if let Some(sink) = &opts.trace {
             opt = opt.with_trace(sink);
-            if let Some(parent) = self.trace_parent {
+            if let Some(parent) = opts.trace_parent {
                 opt = opt.with_trace_parent(parent);
             }
         }
@@ -340,29 +228,9 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
         opt
     }
 
-    /// The audit configuration for a chosen plan: the session's rate/seed
-    /// over exactly the constraints the plan assumed. `None` when auditing
-    /// is off or the plan is constraint-free (nothing to check).
-    fn audit_config(&self, best: &CandidatePlan) -> Option<AuditConfig> {
-        let (rate, seed) = self.audit?;
-        let mut cfg = AuditConfig {
-            rate,
-            seed,
-            link: Vec::new(),
-            inclusion: Vec::new(),
-        };
-        for d in &best.dependencies {
-            match d {
-                ConstraintDependency::Link(c) => cfg.link.push(c.clone()),
-                ConstraintDependency::Inclusion(c) => cfg.inclusion.push(c.clone()),
-            }
-        }
-        cfg.is_active().then_some(cfg)
-    }
-
     /// Optimizes without executing.
     pub fn explain(&self, q: &ConjunctiveQuery) -> Result<Explain> {
-        self.optimizer_traced(self.trace.as_ref()).optimize(q)
+        self.optimizer(self.mask, &self.opts).optimize(q)
     }
 
     /// Optimizes and executes the best plan. With auditing on, the fetched
@@ -371,11 +239,15 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
     /// and re-answers the query from its default navigation (see
     /// [`FallbackOutcome`]).
     pub fn run(&self, q: &ConjunctiveQuery) -> Result<QueryOutcome> {
+        self.run_with(q, &self.opts)
+    }
+
+    fn run_with(&self, q: &ConjunctiveQuery, opts: &ExecOptions) -> Result<QueryOutcome> {
         if let Some(h) = self.health {
             h.tick();
         }
-        let explain = self.explain(q)?;
-        self.run_planned(q, explain)
+        let explain = self.optimizer(self.mask, opts).optimize(q)?;
+        self.run_planned_with(q, explain, opts)
     }
 
     /// Executes an already-optimized plan set for `q`, skipping rule 1–9
@@ -392,12 +264,18 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
     /// since-quarantined constraint would execute here unchallenged —
     /// the serve-layer plan cache guards exactly that).
     pub fn run_planned(&self, q: &ConjunctiveQuery, explain: Explain) -> Result<QueryOutcome> {
-        let mut ev = self.evaluator();
-        if let Some(cfg) = self.audit_config(explain.best()) {
-            ev = ev.with_audit(cfg);
-        }
-        let report = ev.eval(&explain.best().expr)?;
-        self.settle(q, explain, report)
+        self.run_planned_with(q, explain, &self.opts)
+    }
+
+    fn run_planned_with(
+        &self,
+        q: &ConjunctiveQuery,
+        explain: Explain,
+        opts: &ExecOptions,
+    ) -> Result<QueryOutcome> {
+        let best = explain.best();
+        let report = self.evaluator(opts, Some(best)).eval(&best.expr)?;
+        self.settle(q, explain, report, opts)
     }
 
     /// Books a run's audit findings into the health registry and, when the
@@ -408,29 +286,20 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
         q: &ConjunctiveQuery,
         explain: Explain,
         report: EvalReport,
+        opts: &ExecOptions,
     ) -> Result<QueryOutcome> {
-        let (violated, newly_quarantined) = {
-            let Some(audit) = report.audit.as_ref() else {
-                return Ok(QueryOutcome {
-                    explain,
-                    report,
-                    fallback: None,
-                });
-            };
-            let mut violated = Vec::new();
-            let mut newly_quarantined = Vec::new();
-            for row in &audit.constraints {
-                if let Some(h) = self.health {
-                    if h.record(&row.key, row.checks, row.violations.len() as u64) {
-                        newly_quarantined.push(row.key.clone());
-                    }
-                }
-                if !row.violations.is_empty() {
-                    violated.push(row.key.clone());
+        let mut violated = Vec::new();
+        let mut newly_quarantined = Vec::new();
+        for row in report.audit.iter().flat_map(|a| &a.constraints) {
+            if let Some(h) = self.health {
+                if h.record(&row.key, row.checks, row.violations.len() as u64) {
+                    newly_quarantined.push(row.key.clone());
                 }
             }
-            (violated, newly_quarantined)
-        };
+            if !row.violations.is_empty() {
+                violated.push(row.key.clone());
+            }
+        }
         if violated.is_empty() {
             return Ok(QueryOutcome {
                 explain,
@@ -445,13 +314,9 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
         if let Some(h) = self.health {
             h.note_fallback();
         }
-        let mut fb_opt =
-            Optimizer::new(self.ws, self.catalog, self.stats).with_mask(RuleMask::none());
-        if self.use_incomplete {
-            fb_opt = fb_opt.allow_incomplete_navigations();
-        }
-        let fb_explain = fb_opt.optimize(q)?;
-        let fb_report = self.evaluator().eval(&fb_explain.best().expr)?;
+        let fb_explain = self.optimizer(RuleMask::none(), opts).optimize(q)?;
+        let fb_best = fb_explain.best();
+        let fb_report = self.evaluator(opts, Some(fb_best)).eval(&fb_best.expr)?;
         let diverged = report.relation.sorted() != fb_report.relation.sorted();
         Ok(QueryOutcome {
             explain: fb_explain,
@@ -466,24 +331,22 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
         })
     }
 
-    /// EXPLAIN ANALYZE: optimizes, executes the best plan under a fresh
-    /// deterministic trace sink (independent of any session sink), and
-    /// joins the optimizer's per-operator estimates onto the executed
-    /// operator spans. Results and counters are byte-identical to
-    /// [`QuerySession::run`]; the extra work is bookkeeping only.
+    /// EXPLAIN ANALYZE: [`QuerySession::run`] under a fresh deterministic
+    /// trace sink (independent of any session sink), with the optimizer's
+    /// per-operator estimates joined onto the executed operator spans.
+    /// Results, counters, audit and fallback are byte-identical to `run`;
+    /// after a fallback the join covers the authoritative plan.
     pub fn run_analyzed(&self, q: &ConjunctiveQuery) -> Result<AnalyzedOutcome> {
         let sink = TraceSink::with_seed(0);
-        let explain = self.optimizer_traced(Some(&sink)).optimize(q)?;
-        let report = self
-            .evaluator_traced(Some(&sink))
-            .eval(&explain.best().expr)?;
-        let analysis = ExplainAnalyze::from_parts(&explain.best().estimate, &sink.events());
+        let opts = ExecOptions {
+            trace: Some(sink.clone()),
+            trace_parent: None,
+            ..self.opts.clone()
+        };
+        let outcome = self.run_with(q, &opts)?;
+        let analysis = ExplainAnalyze::from_parts(&outcome.explain.best().estimate, &sink.events());
         Ok(AnalyzedOutcome {
-            outcome: QueryOutcome {
-                explain,
-                report,
-                fallback: None,
-            },
+            outcome,
             analysis,
             trace: sink,
         })
@@ -492,7 +355,7 @@ impl<'a, S: PageSource> QuerySession<'a, S> {
     /// Executes a specific plan (used by experiments to run non-optimal
     /// candidates for comparison).
     pub fn execute(&self, expr: &nalg::NalgExpr) -> Result<EvalReport> {
-        Ok(self.evaluator().eval(expr)?)
+        Ok(self.evaluator(&self.opts, None).eval(expr)?)
     }
 }
 
@@ -501,6 +364,7 @@ mod tests {
     use super::*;
     use crate::source::LiveSource;
     use crate::views::university_catalog;
+    use nalg::AuditConfig;
     use websim::sitegen::{University, UniversityConfig};
 
     #[test]
@@ -560,7 +424,10 @@ mod tests {
             .unwrap();
         let cache = nalg::SharedPageCache::default();
         let session = QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
-            .with_concurrent_fetch(8)
+            .with_options(ExecOptions {
+                workers: 8,
+                ..ExecOptions::default()
+            })
             .with_shared_cache(&cache);
         let cold = session.run(&q).unwrap();
         assert_eq!(
@@ -650,7 +517,10 @@ mod tests {
             .unwrap();
         let health = resilience::ConstraintHealth::new();
         let audited = QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
-            .with_audit(1.0, 7)
+            .with_options(ExecOptions {
+                audit: Some(AuditConfig::new(1.0, 7)),
+                ..ExecOptions::default()
+            })
             .with_constraint_health(&health)
             .run(&q)
             .unwrap();
@@ -694,7 +564,10 @@ mod tests {
         let source = LiveSource::for_site(&u.site);
         let health = resilience::ConstraintHealth::new();
         let session = QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
-            .with_audit(1.0, 7)
+            .with_options(ExecOptions {
+                audit: Some(AuditConfig::new(1.0, 7)),
+                ..ExecOptions::default()
+            })
             .with_constraint_health(&health);
         let outcome = session.run(&q).unwrap();
         // The audit caught the violation and the answer fell back.
@@ -735,6 +608,56 @@ mod tests {
         assert_eq!(
             second.report.relation.sorted(),
             naive.report.relation.sorted()
+        );
+    }
+
+    #[test]
+    fn run_analyzed_audits_and_falls_back_like_run() {
+        use websim::{DriftPlan, DriftRule};
+        let mut u = University::generate(UniversityConfig::default()).unwrap();
+        let stats = SiteStatistics::from_site(&u.site);
+        let catalog = university_catalog();
+        let q = ConjunctiveQuery::new("cs-dept")
+            .atom("Dept")
+            .select((0, "DName"), "Computer Science")
+            .project((0, "Address"));
+        DriftPlan::new(3)
+            .with_rule(DriftRule::perturb_attr("DeptPage", "DName", 1.0))
+            .apply(&mut u.site)
+            .unwrap();
+        let source = LiveSource::for_site(&u.site);
+        let session = || {
+            QuerySession::new(&u.site.scheme, &catalog, &stats, &source).with_options(ExecOptions {
+                audit: Some(AuditConfig::new(1.0, 7)),
+                ..ExecOptions::default()
+            })
+        };
+        let plain = session().run(&q).unwrap();
+        let analyzed = session().run_analyzed(&q).unwrap();
+        assert!(plain.fell_back());
+        assert_eq!(analyzed.outcome.fell_back(), plain.fell_back());
+        assert_eq!(
+            analyzed.outcome.report.relation.sorted(),
+            plain.report.relation.sorted()
+        );
+        assert_eq!(
+            analyzed.outcome.report.page_accesses,
+            plain.report.page_accesses
+        );
+        let suspect = &analyzed.outcome.fallback.as_ref().unwrap().suspect_report;
+        assert!(suspect.audit.as_ref().unwrap().violation_count() > 0);
+        // Both plannings are traced: the suspect plan's and the fallback's.
+        let summaries = analyzed
+            .trace
+            .events()
+            .iter()
+            .filter(|e| e.name == "optimizer.summary")
+            .count();
+        assert_eq!(summaries, 2);
+        // The join covers the authoritative (fallback) plan.
+        assert_eq!(
+            analyzed.analysis.observed_pages,
+            plain.report.cost_model_accesses()
         );
     }
 

@@ -13,9 +13,9 @@ use crate::store::{MatStore, UrlStatus};
 use crate::urlcheck::{url_check, CheckCounters};
 use crate::{MatError, Result};
 use adm::{Relation, Tuple, Url, WebScheme};
-use nalg::{DegradationMode, Evaluator, NalgExpr, PageSource, SharedPageCache, SourceError};
+use nalg::{Evaluator, ExecOptions, NalgExpr, PageSource, SharedPageCache, SourceError};
 use obs::trace::{EventKind, TraceSink};
-use std::cell::RefCell;
+use parking_lot::Mutex;
 use wvcore::{ConjunctiveQuery, Explain, ExplainAnalyze, Optimizer, SiteStatistics, ViewCatalog};
 
 /// The outcome of a materialized-view query.
@@ -30,7 +30,7 @@ pub struct MatOutcome {
     /// Links that turned out to point at deleted pages.
     pub broken_links: u64,
     /// Pages skipped because they were unreachable (sorted, deduplicated;
-    /// non-empty only under [`DegradationMode::Partial`] with faults).
+    /// non-empty only under [`nalg::DegradationMode::Partial`] with faults).
     pub unreachable: Vec<Url>,
 }
 
@@ -58,13 +58,15 @@ pub struct MatAnalyzedOutcome {
 }
 
 /// A page source that consults the materialized store, checking freshness
-/// through light connections (Algorithm 3's per-URL protocol).
+/// through light connections (Algorithm 3's per-URL protocol). The store
+/// and counters sit behind locks so pooled workers can share the source;
+/// the lock order is store, then counters.
 struct CheckingSource<'a, P> {
     ws: &'a WebScheme,
     server: &'a P,
-    store: RefCell<&'a mut MatStore>,
-    counters: RefCell<CheckCounters>,
-    error: RefCell<Option<crate::MatError>>,
+    store: Mutex<&'a mut MatStore>,
+    counters: Mutex<CheckCounters>,
+    error: Mutex<Option<crate::MatError>>,
     /// Shared cross-query cache, kept in sync as a side effect of URL
     /// checking: freshly verified tuples are written through with their
     /// Last-Modified stamp, deleted pages are invalidated. The cache is
@@ -97,7 +99,7 @@ impl<P> CheckingSource<'_, P> {
 
 impl<P: websim::PageServer> PageSource for CheckingSource<'_, P> {
     fn fetch(&self, url: &Url, scheme: &str) -> std::result::Result<Tuple, SourceError> {
-        let mut store = self.store.borrow_mut();
+        let mut store = self.store.lock();
         // "URLs whose flag equals missing … will not be used in the query
         // evaluation phase; we defer this check and do it periodically
         // off-line."
@@ -109,7 +111,7 @@ impl<P: websim::PageServer> PageSource for CheckingSource<'_, P> {
             self.trace_check(url, "deferred_missing", 0);
             return Err(SourceError::NotFound(url.clone()));
         }
-        let mut counters = self.counters.borrow_mut();
+        let mut counters = self.counters.lock();
         let before = *counters;
         let outcome_of = |after: &CheckCounters| {
             if after.downloads > before.downloads {
@@ -158,7 +160,7 @@ impl<P: websim::PageServer> PageSource for CheckingSource<'_, P> {
                 Err(SourceError::Unavailable { url, reason })
             }
             Err(e) => {
-                *self.error.borrow_mut() = Some(e.clone());
+                *self.error.lock() = Some(e.clone());
                 Err(SourceError::Other(e.to_string()))
             }
         }
@@ -177,8 +179,7 @@ pub struct MatSession<'a, P = websim::VirtualServer> {
     server: &'a P,
     mask: wvcore::RuleMask,
     shared_cache: Option<&'a SharedPageCache>,
-    degradation: DegradationMode,
-    trace: Option<TraceSink>,
+    opts: ExecOptions,
 }
 
 impl<'a, P: websim::PageServer> MatSession<'a, P> {
@@ -196,17 +197,19 @@ impl<'a, P: websim::PageServer> MatSession<'a, P> {
             server,
             mask: wvcore::RuleMask::all(),
             shared_cache: None,
-            degradation: DegradationMode::FailFast,
-            trace: None,
+            opts: ExecOptions::default(),
         }
     }
 
-    /// Attaches a trace sink: optimizer rule events, one span per
-    /// executed operator, and one maintenance event per URL check.
-    /// Answers and every counter ([`CheckCounters`] included) are
-    /// byte-identical with or without a sink.
-    pub fn with_trace(mut self, sink: &TraceSink) -> Self {
-        self.trace = Some(sink.clone());
+    /// Sets how evaluation runs (see [`ExecOptions`]); the options reach
+    /// the evaluator unchanged. A trace sink also records optimizer rule
+    /// events and one maintenance event per URL check, and under
+    /// [`nalg::DegradationMode::Partial`] a page that is transiently
+    /// unreachable *and* has no stored copy to serve stale is skipped and
+    /// reported instead of aborting the query. Answers and every counter
+    /// ([`CheckCounters`] included) are identical with or without a sink.
+    pub fn with_options(mut self, opts: ExecOptions) -> Self {
+        self.opts = opts;
         self
     }
 
@@ -216,20 +219,12 @@ impl<'a, P: websim::PageServer> MatSession<'a, P> {
         self
     }
 
-    /// Sets the degradation mode for evaluation (builder style). In
-    /// [`DegradationMode::Partial`] a page that is transiently unreachable
-    /// *and* has no stored copy to serve stale is skipped and reported,
-    /// instead of aborting the query.
-    pub fn with_degradation(mut self, mode: DegradationMode) -> Self {
-        self.degradation = mode;
-        self
-    }
-
     /// Keeps a shared cross-query page cache in sync while answering:
     /// URL-checked tuples are written through with their freshness stamp
     /// and pages found deleted are invalidated. Maintenance traffic
     /// ([`CheckCounters`]) is unchanged — the cache is never consulted in
-    /// place of the URL-check protocol.
+    /// place of the URL-check protocol, so it never reaches the
+    /// evaluator.
     pub fn with_shared_cache(mut self, cache: &'a SharedPageCache) -> Self {
         self.shared_cache = Some(cache);
         self
@@ -238,17 +233,17 @@ impl<'a, P: websim::PageServer> MatSession<'a, P> {
     /// Runs a conjunctive query against the materialized view,
     /// lazily maintaining it (Algorithm 3).
     pub fn run(&self, store: &mut MatStore, q: &ConjunctiveQuery) -> Result<MatOutcome> {
-        self.run_traced(store, q, self.trace.as_ref())
+        self.run_with(store, q, &self.opts)
     }
 
-    fn run_traced(
+    fn run_with(
         &self,
         store: &mut MatStore,
         q: &ConjunctiveQuery,
-        trace: Option<&TraceSink>,
+        opts: &ExecOptions,
     ) -> Result<MatOutcome> {
         let mut opt = Optimizer::new(self.ws, self.catalog, self.stats).with_mask(self.mask);
-        if let Some(sink) = trace {
+        if let Some(sink) = &opts.trace {
             opt = opt.with_trace(sink);
         }
         let explain = opt.optimize(q)?;
@@ -260,7 +255,7 @@ impl<'a, P: websim::PageServer> MatSession<'a, P> {
             .ok_or_else(|| MatError::Opt("optimizer produced no candidate plans".into()))?
             .expr
             .clone();
-        let (relation, counters, broken, unreachable) = self.execute_traced(store, &best, trace)?;
+        let (relation, counters, broken, unreachable) = self.execute_with(store, &best, opts)?;
         Ok(MatOutcome {
             explain,
             relation,
@@ -283,7 +278,12 @@ impl<'a, P: websim::PageServer> MatSession<'a, P> {
         q: &ConjunctiveQuery,
     ) -> Result<MatAnalyzedOutcome> {
         let sink = TraceSink::with_seed(0);
-        let outcome = self.run_traced(store, q, Some(&sink))?;
+        let opts = ExecOptions {
+            trace: Some(sink.clone()),
+            trace_parent: None,
+            ..self.opts.clone()
+        };
+        let outcome = self.run_with(store, q, &opts)?;
         let best = outcome
             .explain
             .candidates
@@ -305,30 +305,28 @@ impl<'a, P: websim::PageServer> MatSession<'a, P> {
         store: &mut MatStore,
         plan: &NalgExpr,
     ) -> Result<(Relation, CheckCounters, u64, Vec<Url>)> {
-        self.execute_traced(store, plan, self.trace.as_ref())
+        self.execute_with(store, plan, &self.opts)
     }
 
-    fn execute_traced(
+    fn execute_with(
         &self,
         store: &mut MatStore,
         plan: &NalgExpr,
-        trace: Option<&TraceSink>,
+        opts: &ExecOptions,
     ) -> Result<(Relation, CheckCounters, u64, Vec<Url>)> {
         store.reset_status();
         let source = CheckingSource {
             ws: self.ws,
             server: self.server,
-            store: RefCell::new(store),
-            counters: RefCell::new(CheckCounters::default()),
-            error: RefCell::new(None),
+            store: Mutex::new(store),
+            counters: Mutex::new(CheckCounters::default()),
+            error: Mutex::new(None),
             shared: self.shared_cache,
-            trace: trace.cloned(),
+            trace: opts.trace.clone(),
         };
-        let mut ev = Evaluator::new(self.ws, &source).with_degradation(self.degradation);
-        if let Some(sink) = trace {
-            ev = ev.with_trace(sink);
-        }
-        let report = ev.eval(plan)?;
+        let report = Evaluator::new(self.ws, &source)
+            .with_options(opts.clone())
+            .eval(plan)?;
         if let Some(e) = source.error.into_inner() {
             return Err(e);
         }
@@ -575,7 +573,10 @@ mod tests {
         );
         store.reset_status();
         let lenient = MatSession::new(&u.site.scheme, &catalog, &stats, &u.site.server)
-            .with_degradation(DegradationMode::Partial);
+            .with_options(ExecOptions {
+                degradation: nalg::DegradationMode::Partial,
+                ..ExecOptions::default()
+            });
         let out = lenient.run(&mut store, &grad_query()).unwrap();
         assert_eq!(out.unreachable, vec![new_url], "the exact skipped set");
         assert!(!out.is_complete());

@@ -11,7 +11,7 @@
 //! Two engine features sit on top of the paper's model, both strictly
 //! accounted so the paper numbers stay reproducible:
 //!
-//! * **Pipelined concurrent fetch** ([`Evaluator::with_concurrent_fetch`]):
+//! * **Pipelined concurrent fetch** ([`ExecOptions::workers`]):
 //!   a persistent worker pool is spawned once per evaluation and serves
 //!   every `follow` in the plan; distinct links stream into the pool and
 //!   wrapped tuples are consumed as they arrive, overlapping network
@@ -125,8 +125,8 @@ pub enum DegradationMode {
 
 /// Anything that can deliver the wrapped tuple of a page: the live virtual
 /// web (`wv-core`'s adapter), a materialized store (`matview`), or a test
-/// fixture.
-pub trait PageSource {
+/// fixture. Sources are shared with fetch-pool workers, hence `Sync`.
+pub trait PageSource: Sync {
     /// Fetches and wraps the page at `url`, expected to be an instance of
     /// page-scheme `scheme`.
     fn fetch(&self, url: &Url, scheme: &str) -> std::result::Result<Tuple, SourceError>;
@@ -154,8 +154,8 @@ pub trait PageSource {
 /// auditing on or off — only [`EvalReport::audit`] differs.
 #[derive(Debug, Clone, Default)]
 pub struct AuditConfig {
-    /// Fraction of fetched pages sampled into the audit instance, in
-    /// `[0, 1]`. Zero disables auditing entirely.
+    /// Fraction of fetched pages sampled into the audit instance. Zero
+    /// (or less) disables auditing; 1 (or more) samples every page.
     pub rate: f64,
     /// Seed for the deterministic per-URL sampling decision.
     pub seed: u64,
@@ -166,11 +166,66 @@ pub struct AuditConfig {
 }
 
 impl AuditConfig {
+    /// Sampling at `rate` with `seed`, over no constraints yet: sessions
+    /// fill in the constraints their chosen plan assumed.
+    pub fn new(rate: f64, seed: u64) -> Self {
+        AuditConfig {
+            rate,
+            seed,
+            ..AuditConfig::default()
+        }
+    }
+
     /// True when auditing will record pages and run checks: a positive
     /// rate and at least one constraint to audit.
     pub fn is_active(&self) -> bool {
         self.rate > 0.0 && (!self.link.is_empty() || !self.inclusion.is_empty())
     }
+}
+
+/// How an evaluation runs, as opposed to what it computes: one plain
+/// value that the serving layer, query sessions and materialized-view
+/// sessions hand down unchanged to [`Evaluator::with_options`]. No field
+/// moves the answer relation or the paper's access counts under an
+/// infinite deadline; the default is the paper's own model (sequential,
+/// fail-fast, untraced).
+#[derive(Debug, Clone, Default)]
+pub struct ExecOptions {
+    /// What a failed fetch does: abort the query (the default) or skip
+    /// the page and report it in [`EvalReport::unreachable`].
+    pub degradation: DegradationMode,
+    /// Fetch workers: 0 fetches sequentially; n ≥ 1 spawns a pool of n
+    /// threads once per evaluation, shared by every navigation. Results
+    /// and access counts match sequential evaluation.
+    pub workers: usize,
+    /// Wall-clock budget. Once it fires, not-yet-fetched URLs go to
+    /// [`EvalReport::unreachable`], [`EvalReport::deadline_exceeded`] is
+    /// set and the partial answer is returned, even under
+    /// [`DegradationMode::FailFast`]. Infinite by default.
+    pub deadline: obs::Deadline,
+    /// Cooperative cancellation shared with pool workers and coalescing
+    /// followers. Created per evaluation when `hedge` or `relevance`
+    /// needs one and none is given.
+    pub cancel: Option<obs::CancelToken>,
+    /// Hedged GETs in the pooled drain (needs `workers` ≥ 1): after the
+    /// delay one backup fetch races each laggard, first response wins.
+    /// Hedge completions are never charged to `page_accesses`.
+    pub hedge: Option<crate::fetch::HedgeConfig>,
+    /// Relevance cancellation: σ/⋈ residuals above a Follow cancel
+    /// pending URLs that provably cannot reach the answer
+    /// ([`EvalReport::cancelled`]). Rows and `accesses_by_operator` are
+    /// unchanged; only downloads shrink.
+    pub relevance: bool,
+    /// Constraint auditing over a deterministic sample of fetched pages
+    /// ([`EvalReport::audit`]); never fetches a page. Sessions set the
+    /// rate and seed and fill in the chosen plan's constraints.
+    pub audit: Option<AuditConfig>,
+    /// Trace sink: one [`EventKind::Operator`] span per operator, plus
+    /// fetch-worker and audit events. Counters are identical with or
+    /// without it.
+    pub trace: Option<TraceSink>,
+    /// Span id the evaluation's top-level spans and events nest under.
+    pub trace_parent: Option<u64>,
 }
 
 /// The audit row of one constraint: how many sampled checks ran and what
@@ -256,7 +311,7 @@ pub struct EvalReport {
     /// failures. Empty iff the answer is complete.
     pub unreachable: Vec<Url>,
     /// What constraint auditing observed, when an active [`AuditConfig`]
-    /// was attached with [`Evaluator::with_audit`]; `None` otherwise.
+    /// was set in [`ExecOptions::audit`]; `None` otherwise.
     pub audit: Option<AuditReport>,
     /// True iff a finite deadline expired during evaluation: the answer
     /// is the partial result over pages fetched in budget, and every
@@ -288,48 +343,8 @@ impl EvalReport {
 pub struct Evaluator<'a, S: PageSource> {
     ws: &'a WebScheme,
     source: &'a S,
-    fetch_workers: usize,
     shared: Option<&'a SharedPageCache>,
-    degradation: DegradationMode,
-    /// Set by [`Evaluator::with_audit`] when the config is active.
-    audit: Option<AuditConfig>,
-    /// Set by [`Evaluator::with_concurrent_fetch`]: a monomorphized entry
-    /// point that spawns the worker pool (requires `S: Sync`, which this
-    /// fn pointer captures without constraining the whole type).
-    pooled_run: Option<PooledRun<'a, S>>,
-    /// Optional trace sink: one [`EventKind::Operator`] span per operator
-    /// in the evaluated plan. `None` (the default) costs nothing.
-    trace: Option<TraceSink>,
-    /// Parent span id the top-level operator span (and pool/audit
-    /// events) nest under — set by the serving layer so a whole
-    /// evaluation hangs off its request's root span.
-    trace_parent: Option<u64>,
-    /// The evaluation's wall-clock budget. Infinite (never fires) by
-    /// default; when finite, every blocking point checks it and the
-    /// evaluation fails over to a partial answer with an exact
-    /// not-yet-fetched URL set instead of blocking past it.
-    deadline: obs::Deadline,
-    /// Cooperative cancellation shared with pool workers and coalescing
-    /// followers; auto-created by [`Evaluator::with_relevance_cancel`].
-    cancel: Option<obs::CancelToken>,
-    /// Hedged-GET policy for the pooled drain loop; `None` disables.
-    hedge: Option<crate::fetch::HedgeConfig>,
-    /// When true, σ/⋈ residuals above each Follow are used to prove
-    /// pending URLs irrelevant and skip their fetches.
-    relevance: bool,
-}
-
-type PooledRun<'a, S> = fn(&Evaluator<'a, S>, &NalgExpr) -> Result<EvalReport>;
-
-fn run_pooled<S: PageSource + Sync>(ev: &Evaluator<'_, S>, expr: &NalgExpr) -> Result<EvalReport> {
-    crate::fetch::with_pool(
-        ev.source,
-        ev.fetch_workers,
-        ev.trace.as_ref(),
-        ev.trace_parent,
-        ev.cancel.as_ref(),
-        |pool| ev.eval_with(expr, Some(pool)),
-    )
+    opts: ExecOptions,
 }
 
 #[derive(Default)]
@@ -496,55 +511,25 @@ fn join_key_values(rel: &ColumnRel, attr: &str) -> Option<HashSet<Value>> {
 
 impl<'a, S: PageSource> Evaluator<'a, S> {
     /// An evaluator with the per-query page cache enabled (the realistic
-    /// engine configuration).
+    /// engine configuration) and default [`ExecOptions`].
     pub fn new(ws: &'a WebScheme, source: &'a S) -> Self {
         Evaluator {
             ws,
             source,
-            fetch_workers: 1,
             shared: None,
-            degradation: DegradationMode::FailFast,
-            audit: None,
-            pooled_run: None,
-            trace: None,
-            trace_parent: None,
-            deadline: obs::Deadline::infinite(),
-            cancel: None,
-            hedge: None,
-            relevance: false,
+            opts: ExecOptions::default(),
         }
     }
 
-    /// Attaches a constraint audit: a deterministic sample of the pages
-    /// the query fetches anyway is checked against `cfg`'s constraints and
-    /// reported in [`EvalReport::audit`]. An inactive config (zero rate or
-    /// no constraints) is dropped. Auditing never fetches a page.
-    pub fn with_audit(mut self, cfg: AuditConfig) -> Self {
-        self.audit = cfg.is_active().then_some(cfg);
-        self
-    }
-
-    /// Sets what happens when a fetch ultimately fails: abort the query
-    /// ([`DegradationMode::FailFast`], the default) or complete the plan
-    /// over reachable pages and report the unreachable set
-    /// ([`DegradationMode::Partial`]).
-    pub fn with_degradation(mut self, mode: DegradationMode) -> Self {
-        self.degradation = mode;
-        self
-    }
-
-    /// Fetches the distinct links of each navigation with `workers`
-    /// persistent worker threads (spawned once per evaluation, shared by
-    /// every `follow` in the plan). Links stream into the pool and
-    /// completions are consumed as they arrive, hiding network latency;
-    /// page-access *counts* and the result relation are unchanged.
-    /// Requires a thread-safe page source.
-    pub fn with_concurrent_fetch(mut self, workers: usize) -> Self
-    where
-        S: Sync,
-    {
-        self.fetch_workers = workers.max(1);
-        self.pooled_run = Some(run_pooled::<S>);
+    /// Sets how evaluation runs (see [`ExecOptions`]). An inactive audit
+    /// (zero rate or no constraints) is dropped, and hedging or relevance
+    /// cancellation without a token gets a fresh one.
+    pub fn with_options(mut self, mut opts: ExecOptions) -> Self {
+        opts.audit = opts.audit.filter(AuditConfig::is_active);
+        if opts.cancel.is_none() && (opts.hedge.is_some() || opts.relevance) {
+            opts.cancel = Some(obs::CancelToken::new());
+        }
+        self.opts = opts;
         self
     }
 
@@ -557,77 +542,6 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         self
     }
 
-    /// Attaches a trace sink: every operator application records an
-    /// [`EventKind::Operator`] span carrying its pre-order node index,
-    /// output cardinality, and subtree deltas of downloads, cache hits,
-    /// shared-cache hits and broken links. Counters and results are
-    /// byte-identical with and without a sink; traced shared-cache hits
-    /// in particular are never `page_accesses`.
-    pub fn with_trace(mut self, sink: &TraceSink) -> Self {
-        self.trace = Some(sink.clone());
-        self
-    }
-
-    /// Parents every span this evaluation opens (the top-level operator
-    /// span, fetch-worker terminals, audit events) under `parent`, so a
-    /// request's whole evaluation is one connected causal tree. A no-op
-    /// without a trace sink.
-    pub fn with_trace_parent(mut self, parent: u64) -> Self {
-        self.trace_parent = Some(parent);
-        self
-    }
-
-    /// Sets the evaluation's wall-clock budget. When it expires, every
-    /// not-yet-fetched URL is reported in [`EvalReport::unreachable`],
-    /// [`EvalReport::deadline_exceeded`] is set, and the evaluation
-    /// returns the partial answer over the pages fetched so far — even
-    /// under [`DegradationMode::FailFast`] (a fired deadline *is* the
-    /// degradation decision). The default [`obs::Deadline::infinite`]
-    /// never fires and leaves results byte-identical.
-    pub fn with_deadline(mut self, deadline: obs::Deadline) -> Self {
-        self.deadline = deadline;
-        self
-    }
-
-    /// Shares `token` with pool workers and coalescing followers so
-    /// in-flight fetches can be cancelled cooperatively (deadline
-    /// aborts, hedge losers, relevance-proved-irrelevant URLs).
-    pub fn with_cancel_token(mut self, token: obs::CancelToken) -> Self {
-        self.cancel = Some(token);
-        self
-    }
-
-    /// Enables hedged GETs in the pooled drain loop (requires
-    /// [`Evaluator::with_concurrent_fetch`] to have any effect): after
-    /// `cfg.delay_us` without a completion, one backup fetch is launched
-    /// for the laggard; first response wins, the loser is cancelled
-    /// through the cancel token (auto-created if none was attached).
-    /// Hedge completions are never charged to `page_accesses`.
-    pub fn with_hedging(mut self, cfg: crate::fetch::HedgeConfig) -> Self {
-        self.hedge = Some(cfg);
-        if self.cancel.is_none() {
-            self.cancel = Some(obs::CancelToken::new());
-        }
-        self
-    }
-
-    /// Enables the relevance monitor: σ/⋈ residuals above each Follow
-    /// are specialized to the navigation's output header, and a pending
-    /// URL whose carrying input rows all provably fail one of them is
-    /// cancelled instead of fetched ([`EvalReport::cancelled`]). Rows
-    /// of the final answer are unchanged — a cancelled page could only
-    /// ever have produced rows the residual filters discard — and the
-    /// cost-model charge (`accesses_by_operator`) still counts every
-    /// distinct link, so E1–E8 cost numbers stay paper-exact while
-    /// `page_accesses` shrinks.
-    pub fn with_relevance_cancel(mut self) -> Self {
-        self.relevance = true;
-        if self.cancel.is_none() {
-            self.cancel = Some(obs::CancelToken::new());
-        }
-        self
-    }
-
     /// Evaluates a computable expression.
     pub fn eval(&self, expr: &NalgExpr) -> Result<EvalReport> {
         if !expr.is_computable() {
@@ -635,16 +549,18 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 "leaves must be entry points: {expr}"
             )));
         }
-        match self.pooled_run {
-            Some(run) => run(self, expr),
-            None => self.eval_with(expr, None),
+        match self.opts.workers {
+            0 => self.eval_with(expr, None),
+            _ => crate::fetch::with_pool(self.source, &self.opts, |pool| {
+                self.eval_with(expr, Some(pool))
+            }),
         }
     }
 
     fn eval_with(&self, expr: &NalgExpr, pool: Option<&FetchPool>) -> Result<EvalReport> {
         let mut ctx = Ctx::default();
         let relation = self
-            .eval_expr(expr, &mut ctx, pool, self.trace_parent)?
+            .eval_expr(expr, &mut ctx, pool, self.opts.trace_parent)?
             .to_relation();
         let audit = self.run_audit(&mut ctx);
         Ok(EvalReport {
@@ -665,7 +581,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
     /// attached; never fetches or counts anything. Dedup is by interned id
     /// so repeat sightings of a page cost no allocation at all.
     fn audit_record(&self, ctx: &mut Ctx, sym: Symbol, scheme: &str, tuple: &Tuple) {
-        let Some(cfg) = &self.audit else { return };
+        let Some(cfg) = &self.opts.audit else { return };
         if !ctx.audit_seen.insert(sym) {
             return;
         }
@@ -685,7 +601,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
     /// references. Pages are sorted by URL first so pooled completion
     /// order cannot affect the report.
     fn run_audit(&self, ctx: &mut Ctx) -> Option<AuditReport> {
-        let cfg = self.audit.as_ref()?;
+        let cfg = self.opts.audit.as_ref()?;
         for pages in ctx.audit_pages.values_mut() {
             pages.sort_by(|a, b| a.0.cmp(&b.0));
         }
@@ -729,7 +645,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             sampled_pages: ctx.audit_sampled.len() as u64,
             constraints,
         };
-        if let Some(sink) = &self.trace {
+        if let Some(sink) = &self.opts.trace {
             for row in &report.constraints {
                 if row.checks == 0 && row.violations.is_empty() {
                     continue;
@@ -737,7 +653,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 sink.event(
                     EventKind::Constraint,
                     "audit",
-                    self.trace_parent,
+                    self.opts.trace_parent,
                     vec![
                         ("constraint".to_string(), row.key.as_str().into()),
                         ("checks".to_string(), row.checks.into()),
@@ -751,7 +667,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                     sink.event(
                         EventKind::Constraint,
                         "violation",
-                        self.trace_parent,
+                        self.opts.trace_parent,
                         vec![
                             ("constraint".to_string(), row.key.as_str().into()),
                             ("detail".to_string(), detail.as_str().into()),
@@ -816,15 +732,16 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             // A cancelled fetch under a finite deadline is the budget
             // machinery working as designed, not a query failure.
             Err(SourceError::Cancelled(_))
-                if self.deadline.is_finite() || self.degradation == DegradationMode::Partial =>
+                if self.opts.deadline.is_finite()
+                    || self.opts.degradation == DegradationMode::Partial =>
             {
-                if self.deadline.expired() {
+                if self.opts.deadline.expired() {
                     ctx.deadline_exceeded = true;
                 }
                 ctx.unreachable.insert(url);
                 Ok(None)
             }
-            Err(_) if self.degradation == DegradationMode::Partial => {
+            Err(_) if self.opts.degradation == DegradationMode::Partial => {
                 ctx.unreachable.insert(url);
                 Ok(None)
             }
@@ -881,7 +798,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         pool: Option<&FetchPool>,
         parent: Option<u64>,
     ) -> Result<ColumnRel> {
-        let Some(sink) = &self.trace else {
+        let Some(sink) = &self.opts.trace else {
             return self.eval_node(expr, ctx, pool, parent);
         };
         let node = ctx.node_seq;
@@ -937,7 +854,8 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                     // entry GET goes through the pooled drain — a tail
                     // response there is hedged or abandoned at the
                     // deadline rather than blocking the whole session.
-                    let pool = pool.filter(|_| self.deadline.is_finite() || self.hedge.is_some());
+                    let pool = pool
+                        .filter(|_| self.opts.deadline.is_finite() || self.opts.hedge.is_some());
                     self.fetch_misses(ctx, pool, std::slice::from_ref(url), scheme, |_, t| {
                         page = Some(Arc::clone(t));
                         Ok(())
@@ -954,7 +872,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                     // mode (or past the deadline) an unreachable entry point
                     // degrades to an empty relation with the right header
                     // instead of aborting the query.
-                    None if self.degradation == DegradationMode::Partial
+                    None if self.opts.degradation == DegradationMode::Partial
                         || ctx.deadline_exceeded =>
                     {
                         ColumnRel::empty(&header)
@@ -968,11 +886,11 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 // Relevance: this predicate filters everything the input
                 // subtree produces; Follows inside it can use it to prove
                 // pending URLs irrelevant before fetching them.
-                if self.relevance {
+                if self.opts.relevance {
                     ctx.residual.push(ResidualFilter::Pred(pred.clone()));
                 }
                 let rel = self.eval_expr(input, ctx, pool, parent);
-                if self.relevance {
+                if self.opts.relevance {
                     ctx.residual.pop();
                 }
                 apply_pred(&rel?, pred)
@@ -989,7 +907,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 // a right-side Follow row whose key is outside the set
                 // can never join into an output tuple.
                 let mut pushed = 0usize;
-                if self.relevance {
+                if self.opts.relevance {
                     for (a, b) in on {
                         if let Some(allowed) = join_key_values(&l, a) {
                             ctx.residual.push(ResidualFilter::InSet {
@@ -1052,7 +970,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         settle: &mut dyn FnMut(&mut Ctx, Url, FetchOutcome) -> Result<()>,
     ) -> Result<()> {
         for u in misses {
-            if self.deadline.expired() {
+            if self.opts.deadline.expired() {
                 ctx.deadline_exceeded = true;
                 ctx.unreachable.insert(u.clone());
                 continue;
@@ -1090,14 +1008,14 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
         }
         let mut pending: HashMap<Url, Pending> = HashMap::with_capacity(misses.len());
         for u in misses {
-            if self.deadline.expired() {
+            if self.opts.deadline.expired() {
                 ctx.deadline_exceeded = true;
                 ctx.unreachable.insert(u.clone());
                 continue;
             }
             // A URL cancelled for an earlier navigation may be needed
             // now; clear its mark before the workers can see the job.
-            if let Some(t) = &self.cancel {
+            if let Some(t) = &self.opts.cancel {
                 t.uncancel_url(u.as_str());
             }
             if !pool.submit_tagged(u.clone(), scheme.to_string(), epoch, false) {
@@ -1112,20 +1030,20 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             );
         }
         while !pending.is_empty() {
-            if self.deadline.expired() {
+            if self.opts.deadline.expired() {
                 // Budget gone: the pending set IS the exact not-yet-
                 // fetched URL set. Cancel the queued jobs cooperatively
                 // (workers skip them pre-dispatch) and brown out.
                 ctx.deadline_exceeded = true;
                 for (u, _) in pending.drain() {
-                    if let Some(t) = &self.cancel {
+                    if let Some(t) = &self.opts.cancel {
                         t.cancel_url(u.as_str());
                     }
                     ctx.unreachable.insert(u);
                 }
                 break;
             }
-            if let Some(h) = &self.hedge {
+            if let Some(h) = &self.opts.hedge {
                 let delay = Duration::from_micros(h.delay_us);
                 let due: Vec<Url> = pending
                     .iter()
@@ -1142,8 +1060,12 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             }
             // Sleep until the next actionable instant: budget expiry or
             // the earliest hedge coming due.
-            let mut wait = self.deadline.remaining().unwrap_or(Duration::from_secs(60));
-            if let Some(h) = &self.hedge {
+            let mut wait = self
+                .opts
+                .deadline
+                .remaining()
+                .unwrap_or(Duration::from_secs(60));
+            if let Some(h) = &self.opts.hedge {
                 let delay = Duration::from_micros(h.delay_us);
                 if let Some(next) = pending
                     .values()
@@ -1163,7 +1085,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
             if done.epoch != epoch {
                 continue; // stale completion from an aborted earlier drain
             }
-            if self.deadline.expired() {
+            if self.opts.deadline.expired() {
                 // Received past the budget: the URL is still pending, so
                 // the brown-out at the top of the loop reports it.
                 continue;
@@ -1173,11 +1095,11 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                     if p.hedged {
                         // First response wins; cancel the losing twin
                         // before a worker dispatches it.
-                        if let Some(t) = &self.cancel {
+                        if let Some(t) = &self.opts.cancel {
                             t.cancel_url(done.url.as_str());
                         }
                         if done.hedge {
-                            if let Some(h) = &self.hedge {
+                            if let Some(h) = &self.opts.hedge {
                                 h.hedge_wins.inc();
                             }
                         }
@@ -1192,7 +1114,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                     // first completion, keeping the paper's counters
                     // hedge-invisible.
                     if matches!(done.outcome, Err(SourceError::Cancelled(_))) {
-                        if let Some(h) = &self.hedge {
+                        if let Some(h) = &self.opts.hedge {
                             h.hedge_cancelled.inc();
                         }
                     }
@@ -1258,7 +1180,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 None => misses.push(s),
             }
         }
-        if self.relevance && !ctx.residual.is_empty() && !misses.is_empty() {
+        if self.opts.relevance && !ctx.residual.is_empty() && !misses.is_empty() {
             self.prune_irrelevant(ctx, rel, &link_of, &header, &mut misses);
         }
         let miss_urls: Vec<Url> = misses.iter().map(|s| s.to_url()).collect();
@@ -1311,7 +1233,7 @@ impl<'a, S: PageSource> Evaluator<'a, S> {
                 return true;
             }
             let url = s.to_url();
-            if let Some(t) = &self.cancel {
+            if let Some(t) = &self.opts.cancel {
                 t.cancel_url(url.as_str());
             }
             ctx.cancelled.insert(url);
@@ -1582,7 +1504,10 @@ mod tests {
         let seq = Evaluator::new(&ws, &src).eval(&nav()).unwrap();
         for workers in [1, 2, 8] {
             let par = Evaluator::new(&ws, &src)
-                .with_concurrent_fetch(workers)
+                .with_options(ExecOptions {
+                    workers,
+                    ..ExecOptions::default()
+                })
                 .eval(&nav())
                 .unwrap();
             assert_eq!(par.relation.sorted(), seq.relation.sorted());
@@ -1597,7 +1522,10 @@ mod tests {
         let mut src = source();
         src.pages.remove(&Url::new("/i/b"));
         let report = Evaluator::new(&ws, &src)
-            .with_concurrent_fetch(4)
+            .with_options(ExecOptions {
+                workers: 4,
+                ..ExecOptions::default()
+            })
             .eval(&nav())
             .unwrap();
         assert_eq!(report.relation.len(), 2);
@@ -1634,14 +1562,20 @@ mod tests {
         let shared = crate::cache::SharedPageCache::default();
         let cold = Evaluator::new(&ws, &src)
             .with_shared_cache(&shared)
-            .with_concurrent_fetch(8)
+            .with_options(ExecOptions {
+                workers: 8,
+                ..ExecOptions::default()
+            })
             .eval(&nav())
             .unwrap();
         assert_eq!(cold.relation.sorted(), baseline.relation.sorted());
         assert_eq!(cold.page_accesses, baseline.page_accesses);
         let warm = Evaluator::new(&ws, &src)
             .with_shared_cache(&shared)
-            .with_concurrent_fetch(8)
+            .with_options(ExecOptions {
+                workers: 8,
+                ..ExecOptions::default()
+            })
             .eval(&nav())
             .unwrap();
         assert_eq!(warm.relation.sorted(), baseline.relation.sorted());
@@ -1714,7 +1648,10 @@ mod tests {
             ),
         ]);
         let report = Evaluator::new(&ws, &src)
-            .with_degradation(DegradationMode::Partial)
+            .with_options(ExecOptions {
+                degradation: DegradationMode::Partial,
+                ..ExecOptions::default()
+            })
             .eval(&nav())
             .unwrap();
         assert_eq!(report.relation.len(), 1);
@@ -1732,7 +1669,10 @@ mod tests {
         let mut src = source();
         src.pages.remove(&Url::new("/i/b"));
         let report = Evaluator::new(&ws, &src)
-            .with_degradation(DegradationMode::Partial)
+            .with_options(ExecOptions {
+                degradation: DegradationMode::Partial,
+                ..ExecOptions::default()
+            })
             .eval(&nav())
             .unwrap();
         assert_eq!(report.relation.len(), 2);
@@ -1751,7 +1691,10 @@ mod tests {
             },
         )]);
         let report = Evaluator::new(&ws, &src)
-            .with_degradation(DegradationMode::Partial)
+            .with_options(ExecOptions {
+                degradation: DegradationMode::Partial,
+                ..ExecOptions::default()
+            })
             .eval(&nav())
             .unwrap();
         assert!(report.relation.is_empty());
@@ -1766,7 +1709,10 @@ mod tests {
         let src = source();
         for mode in [DegradationMode::FailFast, DegradationMode::Partial] {
             let report = Evaluator::new(&ws, &src)
-                .with_degradation(mode)
+                .with_options(ExecOptions {
+                    degradation: mode,
+                    ..ExecOptions::default()
+                })
                 .eval(&nav())
                 .unwrap();
             assert!(report.is_complete());
@@ -1779,12 +1725,18 @@ mod tests {
         let ws = scheme();
         let src = failing(&[("/i/b", SourceError::Timeout(Url::new("/i/b")))]);
         let seq = Evaluator::new(&ws, &src)
-            .with_degradation(DegradationMode::Partial)
+            .with_options(ExecOptions {
+                degradation: DegradationMode::Partial,
+                ..ExecOptions::default()
+            })
             .eval(&nav())
             .unwrap();
         let par = Evaluator::new(&ws, &src)
-            .with_degradation(DegradationMode::Partial)
-            .with_concurrent_fetch(4)
+            .with_options(ExecOptions {
+                degradation: DegradationMode::Partial,
+                workers: 4,
+                ..ExecOptions::default()
+            })
             .eval(&nav())
             .unwrap();
         assert_eq!(par.relation.sorted(), seq.relation.sorted());
@@ -1812,7 +1764,10 @@ mod tests {
         let src = source();
         let plain = Evaluator::new(&ws, &src).eval(&nav()).unwrap();
         let audited = Evaluator::new(&ws, &src)
-            .with_audit(audit_cfg(1.0))
+            .with_options(ExecOptions {
+                audit: Some(audit_cfg(1.0)),
+                ..ExecOptions::default()
+            })
             .eval(&nav())
             .unwrap();
         // Everything the paper measures is byte-identical; only the audit
@@ -1837,7 +1792,10 @@ mod tests {
             Tuple::new().with("Name", "b [drift]").with("Kind", "y"),
         );
         let report = Evaluator::new(&ws, &src)
-            .with_audit(audit_cfg(1.0))
+            .with_options(ExecOptions {
+                audit: Some(audit_cfg(1.0)),
+                ..ExecOptions::default()
+            })
             .eval(&nav())
             .unwrap();
         assert_eq!(report.page_accesses, 4, "auditing never fetches");
@@ -1851,7 +1809,10 @@ mod tests {
         let ws = scheme();
         let src = source();
         let report = Evaluator::new(&ws, &src)
-            .with_audit(audit_cfg(0.0))
+            .with_options(ExecOptions {
+                audit: Some(audit_cfg(0.0)),
+                ..ExecOptions::default()
+            })
             .eval(&nav())
             .unwrap();
         assert!(report.audit.is_none());
@@ -1862,13 +1823,19 @@ mod tests {
         let ws = scheme();
         let src = source();
         let seq = Evaluator::new(&ws, &src)
-            .with_audit(audit_cfg(0.6))
+            .with_options(ExecOptions {
+                audit: Some(audit_cfg(0.6)),
+                ..ExecOptions::default()
+            })
             .eval(&nav())
             .unwrap();
         for workers in [2, 8] {
             let par = Evaluator::new(&ws, &src)
-                .with_audit(audit_cfg(0.6))
-                .with_concurrent_fetch(workers)
+                .with_options(ExecOptions {
+                    audit: Some(audit_cfg(0.6)),
+                    workers,
+                    ..ExecOptions::default()
+                })
                 .eval(&nav())
                 .unwrap();
             assert_eq!(par.audit, seq.audit, "sampling is order-independent");
@@ -1896,7 +1863,10 @@ mod tests {
         // FailFast: the panic surfaces as a source error, not a process
         // abort (the scope join would otherwise re-raise it).
         let err = Evaluator::new(&ws, &src)
-            .with_concurrent_fetch(3)
+            .with_options(ExecOptions {
+                workers: 3,
+                ..ExecOptions::default()
+            })
             .eval(&nav())
             .unwrap_err();
         match err {
@@ -1905,8 +1875,11 @@ mod tests {
         }
         // Partial: the poisoned page is skipped like any other failure.
         let report = Evaluator::new(&ws, &src)
-            .with_concurrent_fetch(3)
-            .with_degradation(DegradationMode::Partial)
+            .with_options(ExecOptions {
+                workers: 3,
+                degradation: DegradationMode::Partial,
+                ..ExecOptions::default()
+            })
             .eval(&nav())
             .unwrap();
         assert_eq!(report.relation.len(), 2);
@@ -1966,7 +1939,10 @@ mod tests {
         let ws = scheme();
         let src = source();
         let report = Evaluator::new(&ws, &src)
-            .with_deadline(obs::Deadline::after_us(0))
+            .with_options(ExecOptions {
+                deadline: obs::Deadline::after_us(0),
+                ..ExecOptions::default()
+            })
             .eval(&nav())
             .unwrap();
         assert!(report.deadline_exceeded);
@@ -2005,8 +1981,11 @@ mod tests {
                     delay: std::time::Duration::from_millis(40),
                 };
                 let report = Evaluator::new(&ws, &src)
-                    .with_degradation(mode)
-                    .with_deadline(obs::Deadline::after_us(20_000))
+                    .with_options(ExecOptions {
+                        degradation: mode,
+                        deadline: obs::Deadline::after_us(20_000),
+                        ..ExecOptions::default()
+                    })
                     .eval(&nav())
                     .unwrap();
                 assert!(report.deadline_exceeded, "{url} under {mode:?}");
@@ -2020,8 +1999,11 @@ mod tests {
         let ws = scheme();
         let src = slow(&["/i/a", "/i/b", "/i/c"], 20, false);
         let report = Evaluator::new(&ws, &src)
-            .with_degradation(DegradationMode::Partial)
-            .with_deadline(obs::Deadline::after_us(10_000))
+            .with_options(ExecOptions {
+                degradation: DegradationMode::Partial,
+                deadline: obs::Deadline::after_us(10_000),
+                ..ExecOptions::default()
+            })
             .eval(&nav())
             .unwrap();
         assert!(report.deadline_exceeded);
@@ -2039,10 +2021,13 @@ mod tests {
         let src = slow(&["/i/a", "/i/b", "/i/c"], 50, false);
         let token = obs::CancelToken::new();
         let report = Evaluator::new(&ws, &src)
-            .with_concurrent_fetch(1)
-            .with_degradation(DegradationMode::Partial)
-            .with_deadline(obs::Deadline::after_us(10_000))
-            .with_cancel_token(token.clone())
+            .with_options(ExecOptions {
+                workers: 1,
+                degradation: DegradationMode::Partial,
+                deadline: obs::Deadline::after_us(10_000),
+                cancel: Some(token.clone()),
+                ..ExecOptions::default()
+            })
             .eval(&nav())
             .unwrap();
         assert!(report.deadline_exceeded);
@@ -2059,12 +2044,15 @@ mod tests {
         let src = source();
         let e = nav().select(Pred::eq("Items.Name", "b"));
         let plain = Evaluator::new(&ws, &src).eval(&e).unwrap();
-        for workers in [None, Some(2)] {
-            let mut ev = Evaluator::new(&ws, &src).with_relevance_cancel();
-            if let Some(w) = workers {
-                ev = ev.with_concurrent_fetch(w);
-            }
-            let report = ev.eval(&e).unwrap();
+        for workers in [0, 2] {
+            let report = Evaluator::new(&ws, &src)
+                .with_options(ExecOptions {
+                    workers,
+                    relevance: true,
+                    ..ExecOptions::default()
+                })
+                .eval(&e)
+                .unwrap();
             // Same rows, fewer downloads: /i/a and /i/c can never join
             // into an output tuple once σ[Items.Name='b'] is residual.
             assert_eq!(report.relation.sorted(), plain.relation.sorted());
@@ -2086,7 +2074,10 @@ mod tests {
         // before the fetch, so every page is still downloaded.
         let e = nav().select(Pred::eq("ItemPage.Kind", "x"));
         let report = Evaluator::new(&ws, &src)
-            .with_relevance_cancel()
+            .with_options(ExecOptions {
+                relevance: true,
+                ..ExecOptions::default()
+            })
             .eval(&e)
             .unwrap();
         assert_eq!(report.relation.len(), 2);
@@ -2109,7 +2100,10 @@ mod tests {
         let e = left.join(right, vec![("ListPage.Items.ToItem", "L2.Items.ToItem")]);
         let plain = Evaluator::new(&ws, &src).eval(&e).unwrap();
         let report = Evaluator::new(&ws, &src)
-            .with_relevance_cancel()
+            .with_options(ExecOptions {
+                relevance: true,
+                ..ExecOptions::default()
+            })
             .eval(&e)
             .unwrap();
         assert_eq!(report.relation.sorted(), plain.relation.sorted());
@@ -2127,8 +2121,11 @@ mod tests {
         let cfg = crate::fetch::HedgeConfig::new(1_000);
         let (hedges, wins) = (cfg.hedges.clone(), cfg.hedge_wins.clone());
         let report = Evaluator::new(&ws, &src)
-            .with_concurrent_fetch(2)
-            .with_hedging(cfg)
+            .with_options(ExecOptions {
+                workers: 2,
+                hedge: Some(cfg),
+                ..ExecOptions::default()
+            })
             .eval(&nav())
             .unwrap();
         assert_eq!(report.relation.len(), 3);
@@ -2146,14 +2143,16 @@ mod tests {
         let src = source();
         let e = nav().select(Pred::eq("Kind", "x"));
         let plain = Evaluator::new(&ws, &src).eval(&e).unwrap();
-        for workers in [None, Some(3)] {
-            let mut ev = Evaluator::new(&ws, &src)
-                .with_deadline(obs::Deadline::infinite())
-                .with_cancel_token(obs::CancelToken::new());
-            if let Some(w) = workers {
-                ev = ev.with_concurrent_fetch(w);
-            }
-            let report = ev.eval(&e).unwrap();
+        for workers in [0, 3] {
+            let report = Evaluator::new(&ws, &src)
+                .with_options(ExecOptions {
+                    workers,
+                    deadline: obs::Deadline::infinite(),
+                    cancel: Some(obs::CancelToken::new()),
+                    ..ExecOptions::default()
+                })
+                .eval(&e)
+                .unwrap();
             assert_eq!(report.relation.sorted(), plain.relation.sorted());
             assert_eq!(report.page_accesses, plain.page_accesses);
             assert_eq!(report.cache_hits, plain.cache_hits);
@@ -2183,8 +2182,11 @@ mod tests {
         let t0 = std::time::Instant::now();
         let report = obs::reqctx::with_ctx(Some(ctx), || {
             Evaluator::new(&ws, &src)
-                .with_concurrent_fetch(2)
-                .with_deadline(deadline)
+                .with_options(ExecOptions {
+                    workers: 2,
+                    deadline,
+                    ..ExecOptions::default()
+                })
                 .eval(&nav())
         })
         .unwrap();
@@ -2206,8 +2208,11 @@ mod tests {
         let cfg = crate::fetch::HedgeConfig::new(1_000);
         let (hedges, wins) = (cfg.hedges.clone(), cfg.hedge_wins.clone());
         let report = Evaluator::new(&ws, &src)
-            .with_concurrent_fetch(2)
-            .with_hedging(cfg)
+            .with_options(ExecOptions {
+                workers: 2,
+                hedge: Some(cfg),
+                ..ExecOptions::default()
+            })
             .eval(&nav())
             .unwrap();
         assert_eq!(report.relation.len(), 3);

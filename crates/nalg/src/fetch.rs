@@ -10,7 +10,7 @@
 //! Completions arrive out of order; the evaluator's `follow` assembly is
 //! keyed by URL, so results are independent of completion order.
 //!
-//! **Coalescing.** [`CoalescingSource`] wraps any `PageSource + Sync` with
+//! **Coalescing.** [`CoalescingSource`] wraps any `PageSource` with
 //! single-flight semantics: when N callers (concurrent sessions, pool
 //! workers) request the same URL at the same time, exactly one — the
 //! *leader* — performs the inner fetch; the rest — *followers* — block and
@@ -20,10 +20,10 @@
 //! session reports exactly the numbers it would report uncoalesced (pinned
 //! by the serving-equivalence proptests in `tests/serving.rs`).
 
-use crate::eval::{PageSource, SourceError};
+use crate::eval::{ExecOptions, PageSource, SourceError};
 use adm::{Tuple, Url};
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use obs::trace::{EventKind, TraceSink};
+use obs::trace::EventKind;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -92,7 +92,8 @@ impl FetchPool {
     }
 }
 
-/// Runs `f` with a pool of `workers` threads fetching from `source`.
+/// Runs `f` with a pool of `opts.workers` threads (at least one) fetching
+/// from `source`; `opts.cancel` lets workers skip cancelled jobs.
 /// Workers live for the whole call — every `follow` in the evaluated plan
 /// shares them — and exit when the pool handle is dropped.
 ///
@@ -105,18 +106,13 @@ impl FetchPool {
 /// deterministic; a worker index with **no** terminal event in an
 /// exported trace therefore means that worker hung or died rather than
 /// draining its queue.
-pub(crate) fn with_pool<S, R>(
+pub(crate) fn with_pool<S: PageSource, R>(
     source: &S,
-    workers: usize,
-    trace: Option<&TraceSink>,
-    trace_parent: Option<u64>,
-    cancel: Option<&obs::CancelToken>,
+    opts: &ExecOptions,
     f: impl FnOnce(&FetchPool) -> R,
-) -> R
-where
-    S: PageSource + Sync,
-{
-    let workers = workers.max(1);
+) -> R {
+    let (trace, cancel) = (opts.trace.as_ref(), opts.cancel.as_ref());
+    let workers = opts.workers.max(1);
     let (job_tx, job_rx) = unbounded::<Job>();
     let (done_tx, done_rx) = unbounded::<Done>();
     let terminals: Mutex<Vec<(usize, u64, &'static str)>> = Mutex::new(Vec::new());
@@ -204,7 +200,7 @@ where
             sink.event(
                 EventKind::Fetch,
                 "fetch.worker",
-                trace_parent,
+                opts.trace_parent,
                 vec![
                     ("worker".to_string(), idx.into()),
                     ("jobs".to_string(), jobs.into()),
@@ -329,7 +325,7 @@ pub struct CoalescingSource<'a, S> {
     cancel_wakes: AtomicU64,
 }
 
-impl<'a, S: PageSource + Sync> CoalescingSource<'a, S> {
+impl<'a, S: PageSource> CoalescingSource<'a, S> {
     /// Wraps `inner` with single-flight semantics.
     pub fn new(inner: &'a S) -> Self {
         CoalescingSource {
@@ -459,7 +455,7 @@ impl<'a, S: PageSource + Sync> CoalescingSource<'a, S> {
     }
 }
 
-impl<S: PageSource + Sync> PageSource for CoalescingSource<'_, S> {
+impl<S: PageSource> PageSource for CoalescingSource<'_, S> {
     fn fetch(&self, url: &Url, scheme: &str) -> Result<Tuple, SourceError> {
         self.fetch_stamped(url, scheme).map(|(t, _)| t)
     }
@@ -530,10 +526,18 @@ impl<S: PageSource + Sync> PageSource for CoalescingSource<'_, S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::trace::TraceSink;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Upper bound on any single completion wait in these tests.
     const WAIT: std::time::Duration = std::time::Duration::from_secs(30);
+
+    fn pool_of(workers: usize) -> ExecOptions {
+        ExecOptions {
+            workers,
+            ..ExecOptions::default()
+        }
+    }
 
     struct CountingSource(AtomicUsize);
 
@@ -551,7 +555,7 @@ mod tests {
     #[test]
     fn pool_serves_multiple_batches_with_same_workers() {
         let src = CountingSource(AtomicUsize::new(0));
-        let total = with_pool(&src, 4, None, None, None, |pool| {
+        let total = with_pool(&src, &pool_of(4), |pool| {
             let mut done = 0;
             for batch in 0..3 {
                 for i in 0..10 {
@@ -577,7 +581,7 @@ mod tests {
     #[test]
     fn completions_report_not_found() {
         let src = CountingSource(AtomicUsize::new(0));
-        with_pool(&src, 2, None, None, None, |pool| {
+        with_pool(&src, &pool_of(2), |pool| {
             assert!(pool.submit_tagged(Url::new("/ok"), "P".into(), 0, false));
             assert!(pool.submit_tagged(Url::new("/missing"), "P".into(), 0, false));
             let outcomes: Vec<_> = (0..2)
@@ -595,7 +599,7 @@ mod tests {
         let src = CountingSource(AtomicUsize::new(0));
         // Submit work but consume only part of it; dropping the pool must
         // still terminate the workers (scope join would hang otherwise).
-        with_pool(&src, 3, None, None, None, |pool| {
+        with_pool(&src, &pool_of(3), |pool| {
             for i in 0..20 {
                 assert!(pool.submit_tagged(Url::new(format!("/{i}")), "P".into(), 0, false));
             }
@@ -619,14 +623,21 @@ mod tests {
     fn terminal_events_distinguish_drained_from_abandoned() {
         let sink = TraceSink::with_seed(1);
         let src = CountingSource(AtomicUsize::new(0));
-        with_pool(&src, 3, Some(&sink), None, None, |pool| {
-            for i in 0..6 {
-                assert!(pool.submit_tagged(Url::new(format!("/{i}")), "P".into(), 0, false));
-            }
-            for _ in 0..6 {
-                pool.recv_timeout(WAIT).expect("pool alive");
-            }
-        });
+        with_pool(
+            &src,
+            &ExecOptions {
+                trace: Some(sink.clone()),
+                ..pool_of(3)
+            },
+            |pool| {
+                for i in 0..6 {
+                    assert!(pool.submit_tagged(Url::new(format!("/{i}")), "P".into(), 0, false));
+                }
+                for _ in 0..6 {
+                    pool.recv_timeout(WAIT).expect("pool alive");
+                }
+            },
+        );
         let events: Vec<_> = sink
             .events()
             .into_iter()
@@ -651,12 +662,19 @@ mod tests {
             }
         }
         let sink = TraceSink::with_seed(1);
-        with_pool(&SlowSource, 2, Some(&sink), None, None, |pool| {
-            for i in 0..50 {
-                assert!(pool.submit_tagged(Url::new(format!("/{i}")), "P".into(), 0, false));
-            }
-            pool.recv_timeout(WAIT).expect("pool alive");
-        });
+        with_pool(
+            &SlowSource,
+            &ExecOptions {
+                trace: Some(sink.clone()),
+                ..pool_of(2)
+            },
+            |pool| {
+                for i in 0..50 {
+                    assert!(pool.submit_tagged(Url::new(format!("/{i}")), "P".into(), 0, false));
+                }
+                pool.recv_timeout(WAIT).expect("pool alive");
+            },
+        );
         let events: Vec<_> = sink
             .events()
             .into_iter()
@@ -708,7 +726,7 @@ mod tests {
     }
 
     /// Spins until `src` has `n` parked followers (bounded wait).
-    fn await_followers<S: PageSource + Sync>(src: &CoalescingSource<'_, S>, n: u64) {
+    fn await_followers<S: PageSource>(src: &CoalescingSource<'_, S>, n: u64) {
         for _ in 0..2000 {
             if src.stats().followers >= n {
                 return;
@@ -923,23 +941,30 @@ mod tests {
         let src = CountingSource(AtomicUsize::new(0));
         let token = obs::CancelToken::new();
         token.cancel_url("/dead");
-        with_pool(&src, 2, None, None, Some(&token), |pool| {
-            assert!(pool.submit_tagged(Url::new("/live"), "P".into(), 0, false));
-            assert!(pool.submit_tagged(Url::new("/dead"), "P".into(), 0, false));
-            let outcomes: Vec<_> = (0..2)
-                .map(|_| {
-                    let d = pool.recv_timeout(WAIT).expect("pool alive");
-                    (d.url, d.outcome)
-                })
-                .collect();
-            for (url, outcome) in outcomes {
-                if url.as_str() == "/dead" {
-                    assert!(matches!(outcome, Err(SourceError::Cancelled(_))));
-                } else {
-                    assert!(outcome.is_ok());
+        with_pool(
+            &src,
+            &ExecOptions {
+                cancel: Some(token.clone()),
+                ..pool_of(2)
+            },
+            |pool| {
+                assert!(pool.submit_tagged(Url::new("/live"), "P".into(), 0, false));
+                assert!(pool.submit_tagged(Url::new("/dead"), "P".into(), 0, false));
+                let outcomes: Vec<_> = (0..2)
+                    .map(|_| {
+                        let d = pool.recv_timeout(WAIT).expect("pool alive");
+                        (d.url, d.outcome)
+                    })
+                    .collect();
+                for (url, outcome) in outcomes {
+                    if url.as_str() == "/dead" {
+                        assert!(matches!(outcome, Err(SourceError::Cancelled(_))));
+                    } else {
+                        assert!(outcome.is_ok());
+                    }
                 }
-            }
-        });
+            },
+        );
         assert_eq!(
             src.0.load(Ordering::SeqCst),
             1,
@@ -951,7 +976,7 @@ mod tests {
     fn coalescing_composes_with_the_fetch_pool() {
         let src = CountingSource(AtomicUsize::new(0));
         let coalesced = CoalescingSource::new(&src);
-        let total = with_pool(&coalesced, 4, None, None, None, |pool| {
+        let total = with_pool(&coalesced, &pool_of(4), |pool| {
             for _ in 0..4 {
                 for i in 0..5 {
                     assert!(pool.submit_tagged(Url::new(format!("/{i}")), "P".into(), 0, false));
@@ -1021,7 +1046,7 @@ mod tests {
 
     #[test]
     fn worker_panic_surfaces_as_source_error() {
-        with_pool(&PanickySource, 2, None, None, None, |pool| {
+        with_pool(&PanickySource, &pool_of(2), |pool| {
             assert!(pool.submit_tagged(Url::new("/ok"), "P".into(), 0, false));
             assert!(pool.submit_tagged(Url::new("/boom"), "P".into(), 0, false));
             assert!(pool.submit_tagged(Url::new("/ok2"), "P".into(), 0, false));

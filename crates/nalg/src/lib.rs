@@ -46,8 +46,8 @@ mod fetch;
 pub use cache::{CacheStats, SharedPageCache};
 pub use error::EvalError;
 pub use eval::{
-    AuditConfig, AuditReport, ConstraintAudit, DegradationMode, EvalReport, Evaluator, PageSource,
-    SourceError,
+    AuditConfig, AuditReport, ConstraintAudit, DegradationMode, EvalReport, Evaluator, ExecOptions,
+    PageSource, SourceError,
 };
 pub use expr::{NalgExpr, Pred};
 pub use fetch::{CoalesceStats, CoalescingSource, HedgeConfig};

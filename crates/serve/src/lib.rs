@@ -56,6 +56,7 @@ pub use server::{QueryServer, ServeOutcome, ServerStats};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nalg::ExecOptions;
     use websim::sitegen::{University, UniversityConfig};
     use wvcore::views::university_catalog;
     use wvcore::{ConjunctiveQuery, LiveSource, SiteStatistics};
@@ -381,7 +382,10 @@ mod tests {
             .server
             .set_latency(std::time::Duration::from_millis(5));
         let slow = QueryServer::new(&u.site.scheme, &catalog, &stats, &source)
-            .with_degradation(nalg::DegradationMode::Partial)
+            .with_options(ExecOptions {
+                degradation: nalg::DegradationMode::Partial,
+                ..ExecOptions::default()
+            })
             .with_deadline_budget(8_000);
         let browned = slow.serve(&query("profs")).unwrap();
         assert!(browned.brown_out && !browned.is_complete());

@@ -25,7 +25,7 @@
 use crate::cache::{quarantine_fingerprint, PlanCache, PlanCacheStats};
 use adm::{Relation, WebScheme};
 use dataflow::IncrementalView;
-use nalg::{DegradationMode, PageSource, SharedPageCache};
+use nalg::{ExecOptions, PageSource, SharedPageCache};
 use obs::reqctx::{FetchClock, RequestCtx};
 use obs::{
     Counter, EventKind, FlightRecorder, MetricsRegistry, PhaseBreakdown, RequestTrace, SloTracker,
@@ -157,10 +157,10 @@ impl ServeOutcome {
     }
 }
 
-/// A multi-tenant serving layer over one site. `S` must be `Sync` — the
-/// whole point is concurrent sessions sharing one source (typically a
-/// [`nalg::CoalescingSource`] stacked on the live/resilient source).
-pub struct QueryServer<'a, S: PageSource + Sync> {
+/// A multi-tenant serving layer over one site: concurrent sessions share
+/// one source (typically a [`nalg::CoalescingSource`] stacked on the
+/// live/resilient source).
+pub struct QueryServer<'a, S: PageSource> {
     ws: &'a WebScheme,
     catalog: &'a ViewCatalog,
     stats: RwLock<&'a SiteStatistics>,
@@ -170,17 +170,15 @@ pub struct QueryServer<'a, S: PageSource + Sync> {
     admission: AdmissionControl,
     health: Option<&'a ConstraintHealth>,
     shared_cache: Option<&'a SharedPageCache>,
-    degradation: DegradationMode,
-    audit: Option<(f64, u64)>,
-    fetch_workers: Option<usize>,
+    /// Served sessions' options; each request overwrites its copy's
+    /// deadline, cancel token and trace sink/parent.
+    opts: ExecOptions,
     views: Option<&'a RwLock<IncrementalView<'a>>>,
     tracing: Option<ServeTracing>,
     slo: Option<SloTracker>,
     recorder: Option<FlightRecorder>,
     /// Default per-request deadline budget in µs.
     deadline_budget_us: Option<u64>,
-    hedge: Option<nalg::HedgeConfig>,
-    relevance: bool,
     registry: MetricsRegistry,
     requests: Counter,
     shed: Counter,
@@ -189,7 +187,7 @@ pub struct QueryServer<'a, S: PageSource + Sync> {
     view_fallbacks: Counter,
 }
 
-impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
+impl<'a, S: PageSource> QueryServer<'a, S> {
     /// A server with default policy: 64 cached plans, 8 concurrent
     /// sessions, fail-fast degradation, no audit, sequential fetches.
     pub fn new(
@@ -209,16 +207,12 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
             admission: AdmissionControl::new(8),
             health: None,
             shared_cache: None,
-            degradation: DegradationMode::FailFast,
-            audit: None,
-            fetch_workers: None,
+            opts: ExecOptions::default(),
             views: None,
             tracing: None,
             slo: None,
             recorder: None,
             deadline_budget_us: None,
-            hedge: None,
-            relevance: false,
             requests: registry.counter("requests"),
             shed: registry.counter("shed"),
             brown_outs: registry.counter("brown_outs"),
@@ -248,23 +242,21 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
         self
     }
 
-    /// Sets the degradation mode of served sessions (see
-    /// [`QuerySession::with_degradation`]).
-    pub fn with_degradation(mut self, mode: DegradationMode) -> Self {
-        self.degradation = mode;
+    /// Sets how served sessions evaluate (see [`ExecOptions`]): every
+    /// field passes through to each request's [`QuerySession`] except
+    /// the per-request ones — the deadline (from
+    /// [`QueryServer::with_deadline_budget`] or
+    /// [`QueryServer::serve_with_deadline`]), the cancel token, and the
+    /// trace sink and parent (from [`QueryServer::with_trace`]).
+    pub fn with_options(mut self, opts: ExecOptions) -> Self {
+        self.opts = opts;
         self
     }
 
-    /// Enables runtime constraint auditing on served sessions (see
-    /// [`QuerySession::with_audit`]).
-    pub fn with_audit(mut self, rate: f64, seed: u64) -> Self {
-        self.audit = (rate > 0.0).then_some((rate.min(1.0), seed));
-        self
-    }
-
-    /// Served sessions evaluate with a pool of `workers` fetch threads.
+    /// Served sessions evaluate with a pool of `workers` fetch threads
+    /// (at least one): shorthand for [`ExecOptions::workers`].
     pub fn with_concurrent_fetch(mut self, workers: usize) -> Self {
-        self.fetch_workers = Some(workers.max(1));
+        self.opts.workers = workers.max(1);
         self
     }
 
@@ -323,25 +315,6 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
         self
     }
 
-    /// Hedges laggard pooled fetches in served sessions (see
-    /// [`QuerySession::with_hedging`]): after `cfg.delay_us` in flight,
-    /// one backup GET races the primary; the first response wins and the
-    /// loser is cancelled. Rows and paper counters are unchanged; hedge
-    /// activity lands only in `cfg`'s counters (typically a
-    /// `resilience::HedgePolicy`'s registry cells).
-    pub fn with_hedging(mut self, cfg: nalg::HedgeConfig) -> Self {
-        self.hedge = Some(cfg);
-        self
-    }
-
-    /// Cancels pending fetches that relevance analysis proves can no
-    /// longer contribute to the answer (see
-    /// [`QuerySession::with_relevance_cancel`]).
-    pub fn with_relevance_cancel(mut self) -> Self {
-        self.relevance = true;
-        self
-    }
-
     /// The default deadline for [`QueryServer::serve`]: the budget if
     /// set, else infinite.
     fn default_deadline(&self) -> obs::Deadline {
@@ -391,21 +364,15 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
     }
 
     /// Builds the per-request session over the current statistics.
-    fn session(&self) -> QuerySession<'a, S> {
+    fn session(&self, opts: ExecOptions) -> QuerySession<'a, S> {
         let stats: &'a SiteStatistics = *self.stats.read();
-        let mut session = QuerySession::new(self.ws, self.catalog, stats, self.source)
-            .with_degradation(self.degradation);
+        let mut session =
+            QuerySession::new(self.ws, self.catalog, stats, self.source).with_options(opts);
         if let Some(cache) = self.shared_cache {
             session = session.with_shared_cache(cache);
         }
         if let Some(h) = self.health {
             session = session.with_constraint_health(h);
-        }
-        if let Some((rate, seed)) = self.audit {
-            session = session.with_audit(rate, seed);
-        }
-        if let Some(workers) = self.fetch_workers {
-            session = session.with_concurrent_fetch(workers);
         }
         session
     }
@@ -613,27 +580,18 @@ impl<'a, S: PageSource + Sync> QueryServer<'a, S> {
             stats_epoch: epoch,
             quarantine_fp: fp,
         };
-        let mut session = self.session();
-        if let Some(o) = obs.as_deref_mut() {
-            session = session.with_trace(&o.sink).with_trace_parent(o.root);
-        }
         // A per-request cancel token whenever some mechanism will use
         // it: deadline aborts, hedging's loser cancellation, or
         // relevance-driven cancellation.
-        let token = (deadline.is_finite() || self.hedge.is_some() || self.relevance)
+        let token = (deadline.is_finite() || self.opts.hedge.is_some() || self.opts.relevance)
             .then(obs::CancelToken::new);
-        if deadline.is_finite() {
-            session = session.with_deadline(deadline);
-        }
-        if let Some(t) = &token {
-            session = session.with_cancel_token(t.clone());
-        }
-        if let Some(cfg) = &self.hedge {
-            session = session.with_hedging(cfg.clone());
-        }
-        if self.relevance {
-            session = session.with_relevance_cancel();
-        }
+        let session = self.session(ExecOptions {
+            deadline,
+            cancel: token.clone(),
+            trace: obs.as_deref().map(|o| o.sink.clone()),
+            trace_parent: obs.as_deref().map(|o| o.root),
+            ..self.opts.clone()
+        });
         let (explain, cached_plan) = match self.plan_cache.lookup(&key, &quarantined) {
             Some(plan) => ((*plan).clone(), true),
             None => {

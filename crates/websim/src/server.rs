@@ -681,8 +681,9 @@ impl VirtualServer {
 /// The server-side protocol surface — GET, HEAD, and the logical clock —
 /// abstracted so maintenance code (crawling, URL-check, the `CheckMissing`
 /// sweep) can run against either a raw [`VirtualServer`] or a resilience
-/// wrapper that retries and circuit-breaks around one.
-pub trait PageServer {
+/// wrapper that retries and circuit-breaks around one. Servers are shared
+/// with fetch-pool workers, hence `Sync`.
+pub trait PageServer: Sync {
     /// Full download (counted).
     fn get(&self, url: &Url) -> Result<PageResponse>;
     /// Light connection (counted).

@@ -69,8 +69,8 @@ pub mod prelude {
     pub use dataflow::{DeltaReport, IncrementalView, PartialStore};
     pub use matview::{MatAnalyzedOutcome, MatOutcome, MatSession, MatStore};
     pub use nalg::{
-        CoalescingSource, DegradationMode, EvalReport, Evaluator, HedgeConfig, NalgExpr,
-        PageSource, Pred,
+        AuditConfig, CoalescingSource, DegradationMode, EvalReport, Evaluator, ExecOptions,
+        HedgeConfig, NalgExpr, PageSource, Pred,
     };
     pub use obs::{
         CancelToken, Deadline, EventKind, FixedHistogram, FlightDump, FlightRecorder,
@@ -125,7 +125,10 @@ mod tests {
         let source = LiveSource::for_site(&site.site);
         let health = ConstraintHealth::new();
         let session = QuerySession::new(&site.site.scheme, &catalog, &stats, &source)
-            .with_audit(1.0, 7)
+            .with_options(ExecOptions {
+                audit: Some(AuditConfig::new(1.0, 7)),
+                ..ExecOptions::default()
+            })
             .with_constraint_health(&health);
 
         let q = ConjunctiveQuery::new("cs-dept")
@@ -294,10 +297,13 @@ mod tests {
 
         let hedge = HedgePolicy::new(500).with_jitter_seed(7);
         let server = QueryServer::new(&site.site.scheme, &catalog, &stats, &coalesced)
-            .with_concurrent_fetch(3)
-            .with_deadline_budget(250_000)
-            .with_hedging(hedge.config())
-            .with_relevance_cancel();
+            .with_options(ExecOptions {
+                workers: 3,
+                hedge: Some(hedge.config()),
+                relevance: true,
+                ..ExecOptions::default()
+            })
+            .with_deadline_budget(250_000);
 
         let q = ConjunctiveQuery::new("full professors")
             .atom("Professor")

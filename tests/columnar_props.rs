@@ -93,10 +93,10 @@ fn assert_matches_reference(site: &websim::Site, expr: &NalgExpr, label: &str) {
             // Each run gets its own fresh shared cache: the cache is part
             // of the configuration under test, not state carried over.
             let cache = SharedPageCache::with_byte_budget(1 << 20);
-            let mut ev = Evaluator::new(&site.scheme, &source);
-            if let Some(w) = workers {
-                ev = ev.with_concurrent_fetch(w);
-            }
+            let mut ev = Evaluator::new(&site.scheme, &source).with_options(ExecOptions {
+                workers: workers.unwrap_or(0),
+                ..ExecOptions::default()
+            });
             if shared {
                 ev = ev.with_shared_cache(&cache);
             }

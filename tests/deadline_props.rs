@@ -79,9 +79,12 @@ fn assert_inert_budget_is_identity(
         .eval(expr)
         .expect("sequential eval");
     let budgeted = Evaluator::new(&site.scheme, &source)
-        .with_concurrent_fetch(workers)
-        .with_deadline(Deadline::infinite())
-        .with_cancel_token(CancelToken::new())
+        .with_options(ExecOptions {
+            workers,
+            deadline: Deadline::infinite(),
+            cancel: Some(CancelToken::new()),
+            ..ExecOptions::default()
+        })
         .eval(expr)
         .expect("budgeted eval");
     let ctx = format!("{label} (workers={workers})");
@@ -133,8 +136,11 @@ fn assert_hedging_is_paper_blind(site: &websim::Site, expr: &NalgExpr, label: &s
     });
     let cfg = HedgeConfig::new(300);
     let hedged = Evaluator::new(&site.scheme, &source)
-        .with_concurrent_fetch(3)
-        .with_hedging(cfg.clone())
+        .with_options(ExecOptions {
+            workers: 3,
+            hedge: Some(cfg.clone()),
+            ..ExecOptions::default()
+        })
         .eval(expr)
         .expect("hedged eval");
     site.server.clear_latency_profile();

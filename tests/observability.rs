@@ -106,7 +106,10 @@ proptest! {
         assert_counter_identical(&plain, &analyzed);
 
         let pooled = QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
-            .with_concurrent_fetch(3);
+            .with_options(ExecOptions {
+                workers: 3,
+                ..ExecOptions::default()
+            });
         let plain_pooled = pooled.run(q).unwrap();
         let analyzed_pooled = pooled.run_analyzed(q).unwrap();
         assert_counter_identical(&plain_pooled, &analyzed_pooled);
@@ -171,7 +174,10 @@ fn same_seed_traces_are_deterministic_pooled() {
             let catalog = university_catalog();
             let source = LiveSource::for_site(&u.site);
             let session = QuerySession::new(&u.site.scheme, &catalog, &stats, &source)
-                .with_concurrent_fetch(3);
+                .with_options(ExecOptions {
+                    workers: 3,
+                    ..ExecOptions::default()
+                });
             blank_jobs(&session.run_analyzed(q).unwrap().trace.export_jsonl())
         })
         .collect();

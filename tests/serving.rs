@@ -373,7 +373,10 @@ fn quarantine_invalidates_dependent_cached_plans() {
     {
         let source = LiveSource::for_site(&site.site);
         let server = QueryServer::new(&site.site.scheme, &catalog, &stats, &source)
-            .with_audit(1.0, 7)
+            .with_options(ExecOptions {
+                audit: Some(AuditConfig::new(1.0, 7)),
+                ..ExecOptions::default()
+            })
             .with_constraint_health(&health);
         let cold = server.serve(&q).unwrap();
         assert!(!cold.cached_plan && !cold.outcome.as_ref().unwrap().fell_back());
@@ -390,7 +393,10 @@ fn quarantine_invalidates_dependent_cached_plans() {
         .unwrap();
     let source = LiveSource::for_site(&site.site);
     let server = QueryServer::new(&site.site.scheme, &catalog, &stats, &source)
-        .with_audit(1.0, 7)
+        .with_options(ExecOptions {
+            audit: Some(AuditConfig::new(1.0, 7)),
+            ..ExecOptions::default()
+        })
         .with_constraint_health(&health);
 
     // Ground truth on the drifted site: the default navigation.
@@ -456,4 +462,84 @@ fn recollection_is_a_single_epoch_invalidation() {
         assert_eq!(o.report.relation.sorted(), f.oracle[i].0);
         assert_eq!(o.report.page_accesses, f.oracle[i].1);
     }
+}
+
+/// The answer and every `EvalReport` counter, rendered for comparison;
+/// `None` for a failed evaluation.
+fn rendered(report: Option<&EvalReport>) -> Option<String> {
+    report.map(|r| {
+        format!(
+            "{}\n{:?}",
+            r.relation.sorted(),
+            (
+                r.page_accesses,
+                r.cache_hits,
+                r.shared_cache_hits,
+                r.broken_links,
+                &r.accesses_by_operator,
+                &r.unreachable,
+                &r.audit,
+                r.deadline_exceeded,
+                &r.cancelled,
+            )
+        )
+    })
+}
+
+// One `ExecOptions` value passes unchanged through every layer: the
+// server, a session and a bare evaluator of the same best plan agree on
+// rows and on every counter at each point of the grid. Every course page
+// answers 5xx, so the degradation mode decides between an error and a
+// partial answer.
+#[test]
+fn exec_options_pass_through_every_layer() {
+    let u = University::generate(UniversityConfig::default()).unwrap();
+    let stats = SiteStatistics::from_site(&u.site);
+    let catalog = university_catalog();
+    let live = LiveSource::for_site(&u.site);
+    u.site.server.set_fault_plan(
+        webviews::websim::FaultPlan::new(11).with_rule(
+            webviews::websim::FaultRule::unavailable(1.0)
+                .for_scheme("CoursePage")
+                .with_max_per_url(None),
+        ),
+    );
+    let (mut fail_fast_errors, mut partial_errors) = (0, 0);
+    for workers in [0usize, 1, 3] {
+        for degradation in [DegradationMode::FailFast, DegradationMode::Partial] {
+            for relevance in [false, true] {
+                let opts = ExecOptions {
+                    workers,
+                    degradation,
+                    relevance,
+                    ..ExecOptions::default()
+                };
+                let server = QueryServer::new(&u.site.scheme, &catalog, &stats, &live)
+                    .with_options(opts.clone());
+                let session = QuerySession::new(&u.site.scheme, &catalog, &stats, &live)
+                    .with_options(opts.clone());
+                for q in workload() {
+                    let ctx = format!("{} under {opts:?}", q.name);
+                    let served = server.serve(&q).map(|o| o.outcome.unwrap().report);
+                    let run = session.run(&q).map(|o| o.report);
+                    let best = session.explain(&q).unwrap().best().expr.clone();
+                    let bare = Evaluator::new(&u.site.scheme, &live)
+                        .with_options(opts.clone())
+                        .eval(&best);
+                    let want = rendered(bare.as_ref().ok());
+                    assert_eq!(rendered(served.as_ref().ok()), want, "serve: {ctx}");
+                    assert_eq!(rendered(run.as_ref().ok()), want, "session: {ctx}");
+                    match (degradation, &bare) {
+                        (DegradationMode::FailFast, Err(_)) => fail_fast_errors += 1,
+                        (DegradationMode::Partial, Err(_)) => partial_errors += 1,
+                        _ => {}
+                    }
+                }
+            }
+        }
+    }
+    // The grid exercises the degradation mode: FailFast aborts on the
+    // 5xx pages and Partial never does.
+    assert!(fail_fast_errors > 0);
+    assert_eq!(partial_errors, 0);
 }
