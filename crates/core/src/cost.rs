@@ -22,7 +22,7 @@
 
 use crate::stats::SiteStatistics;
 use crate::{OptError, Result};
-use nalg::expr::resolve_column;
+use nalg::expr::{resolve_column, NodeColumns};
 use nalg::{NalgExpr, Pred};
 use std::collections::HashMap;
 use std::fmt;
@@ -136,7 +136,13 @@ struct Estimator<'a> {
     nodes: Vec<NodeEstimate>,
 }
 
-/// Estimates the cardinality and cost of a computable expression.
+/// A walked subexpression: its cardinality, its accumulated cost, and its
+/// output columns (or the error deriving them), which only its parent
+/// needs.
+type Walked<'e> = (f64, Cost, nalg::Result<NodeColumns<'e>>);
+
+/// Estimates the cardinality and cost of a computable expression in one
+/// bottom-up pass: each node's columns are derived once, from its inputs'.
 pub fn estimate(expr: &NalgExpr, ws: &adm::WebScheme, stats: &SiteStatistics) -> Result<Estimate> {
     let aliases = expr.alias_map().map_err(OptError::Eval)?;
     let mut est = Estimator {
@@ -146,7 +152,7 @@ pub fn estimate(expr: &NalgExpr, ws: &adm::WebScheme, stats: &SiteStatistics) ->
         per_op: Vec::new(),
         nodes: Vec::new(),
     };
-    let (card, cost) = est.walk(expr)?;
+    let (card, cost, _) = est.walk(expr)?;
     Ok(Estimate {
         card,
         cost,
@@ -155,11 +161,12 @@ pub fn estimate(expr: &NalgExpr, ws: &adm::WebScheme, stats: &SiteStatistics) ->
     })
 }
 
-impl Estimator<'_> {
-    fn cols(&self, e: &NalgExpr) -> Result<Vec<String>> {
-        e.output_columns(self.ws).map_err(OptError::Eval)
-    }
+/// The columns a parent resolves against: the input's, or its error.
+fn cols_of(walked: nalg::Result<NodeColumns<'_>>) -> Result<NodeColumns<'_>> {
+    walked.map_err(OptError::Eval)
+}
 
+impl Estimator<'_> {
     fn key_for(&self, cols: &[String], attr: &str) -> Result<String> {
         let i = resolve_column(cols, attr).map_err(OptError::Eval)?;
         Ok(stats_key(&self.aliases, &cols[i]))
@@ -184,10 +191,10 @@ impl Estimator<'_> {
         Ok(sel)
     }
 
-    /// Returns (cardinality, accumulated cost) of a subexpression,
-    /// recording a [`NodeEstimate`] per node in pre-order — the same
-    /// numbering the evaluator assigns its operator spans.
-    fn walk(&mut self, e: &NalgExpr) -> Result<(f64, Cost)> {
+    /// Returns (cardinality, accumulated cost, output columns) of a
+    /// subexpression, recording a [`NodeEstimate`] per node in pre-order —
+    /// the same numbering the evaluator assigns its operator spans.
+    fn walk<'e>(&mut self, e: &'e NalgExpr) -> Result<Walked<'e>> {
         let node = self.nodes.len();
         self.nodes.push(NodeEstimate {
             label: node_label(e),
@@ -195,8 +202,8 @@ impl Estimator<'_> {
             pages: 0.0,
         });
         let per_op_before = self.per_op.len();
-        let (card, cost) = self.walk_node(e)?;
-        self.nodes[node].card = card;
+        let walked = self.walk_node(e)?;
+        self.nodes[node].card = walked.0;
         if matches!(e, NalgExpr::Entry { .. } | NalgExpr::Follow { .. })
             && self.per_op.len() > per_op_before
         {
@@ -204,63 +211,64 @@ impl Estimator<'_> {
             // it is recorded after the input subtree.
             self.nodes[node].pages = self.per_op[self.per_op.len() - 1].1;
         }
-        Ok((card, cost))
+        Ok(walked)
     }
 
-    fn walk_node(&mut self, e: &NalgExpr) -> Result<(f64, Cost)> {
+    fn walk_node<'e>(&mut self, e: &'e NalgExpr) -> Result<Walked<'e>> {
+        let ws = self.ws;
         match e {
             NalgExpr::External { name } => Err(OptError::NoPlan(format!(
                 "cannot cost unresolved external relation {name}"
             ))),
             NalgExpr::Entry { scheme, .. } => {
-                let card = if self.ws.is_entry_point(scheme) {
+                let card = if ws.is_entry_point(scheme) {
                     1.0
                 } else {
                     self.stats.card(scheme)
                 };
                 self.per_op.push((format!("entry {scheme}"), 1.0));
-                Ok((
-                    card,
-                    Cost {
-                        pages: 1.0,
-                        bytes: self.stats.bytes_of(scheme),
-                    },
-                ))
+                let cost = Cost {
+                    pages: 1.0,
+                    bytes: self.stats.bytes_of(scheme),
+                };
+                Ok((card, cost, e.column_step(ws, [])))
             }
             NalgExpr::Select { input, pred } => {
-                let (card, cost) = self.walk(input)?;
-                let cols = self.cols(input)?;
-                let sel = self.pred_selectivity(&cols, pred)?;
-                Ok((card * sel, cost))
+                let (card, cost, cols) = self.walk(input)?;
+                let cols = cols_of(cols)?;
+                let sel = self.pred_selectivity(&cols.cols, pred)?;
+                Ok((card * sel, cost, e.column_step(ws, [Ok(cols)])))
             }
-            NalgExpr::Project { input, cols } => {
-                let (card, cost) = self.walk(input)?;
-                let in_cols = self.cols(input)?;
+            NalgExpr::Project { input, cols: keep } => {
+                let (card, cost, cols) = self.walk(input)?;
+                let cols = cols_of(cols)?;
                 let mut distinct = 1.0;
-                for c in cols {
-                    let key = self.key_for(&in_cols, c)?;
+                for c in keep {
+                    let key = self.key_for(&cols.cols, c)?;
                     distinct *= self.stats.distinct_of(&key).max(1.0);
                 }
-                Ok((card.min(distinct), cost))
+                Ok((card.min(distinct), cost, e.column_step(ws, [Ok(cols)])))
             }
             NalgExpr::Join { left, right, on } => {
-                let (cl, costl) = self.walk(left)?;
-                let (cr, costr) = self.walk(right)?;
-                let lcols = self.cols(left)?;
-                let rcols = self.cols(right)?;
+                let (cl, costl, lcols) = self.walk(left)?;
+                let (cr, costr, rcols) = self.walk(right)?;
+                let lcols = cols_of(lcols)?;
+                let rcols = cols_of(rcols)?;
                 let mut sel = 1.0;
                 for (a, b) in on {
-                    let ka = self.key_for(&lcols, a)?;
-                    let kb = self.key_for(&rcols, b)?;
+                    let ka = self.key_for(&lcols.cols, a)?;
+                    let kb = self.key_for(&rcols.cols, b)?;
                     sel *= self.stats.selectivity(&ka, &kb);
                 }
-                Ok((cl * cr * sel, costl + costr))
+                let cols = e.column_step(ws, [Ok(lcols), Ok(rcols)]);
+                Ok((cl * cr * sel, costl + costr, cols))
             }
             NalgExpr::Unnest { input, attr } => {
-                let (card, cost) = self.walk(input)?;
-                let cols = self.cols(input)?;
-                let key = self.key_for(&cols, attr)?;
-                Ok((card * self.stats.fanout_of(&key), cost))
+                let (card, cost, cols) = self.walk(input)?;
+                let cols = cols_of(cols)?;
+                let key = self.key_for(&cols.cols, attr)?;
+                let card = card * self.stats.fanout_of(&key);
+                Ok((card, cost, e.column_step(ws, [Ok(cols)])))
             }
             NalgExpr::Follow {
                 input,
@@ -268,9 +276,9 @@ impl Estimator<'_> {
                 target,
                 ..
             } => {
-                let (card, cost) = self.walk(input)?;
-                let cols = self.cols(input)?;
-                let key = self.key_for(&cols, link)?;
+                let (card, cost, cols) = self.walk(input)?;
+                let cols = cols_of(cols)?;
+                let key = self.key_for(&cols.cols, link)?;
                 let distinct_links = card.min(self.stats.distinct_of(&key)).max(0.0);
                 self.per_op
                     .push((format!("–{link}→ {target}"), distinct_links));
@@ -278,7 +286,7 @@ impl Estimator<'_> {
                     pages: distinct_links,
                     bytes: distinct_links * self.stats.bytes_of(target),
                 };
-                Ok((card, cost + nav_cost))
+                Ok((card, cost + nav_cost, e.column_step(ws, [Ok(cols)])))
             }
         }
     }

@@ -15,7 +15,7 @@
 //! normalizations applied to every candidate. A [`RuleMask`] can disable
 //! individual stages — this powers the ablation experiments.
 
-use crate::cost::{estimate, Estimate};
+use crate::cost::{estimate, Cost, Estimate};
 use crate::query::ConjunctiveQuery;
 use crate::registry::{rules_for_phase, RewritePhase, RewriteRule, RuleOutcome, CANDIDATE_PHASES};
 use crate::rules::{
@@ -28,8 +28,9 @@ use adm::WebScheme;
 use nalg::{NalgExpr, Pred};
 use obs::trace::{EventKind, FieldValue, TraceSink};
 use resilience::ConstraintHealth;
-use std::collections::{BTreeSet, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt::Write as _;
+use std::rc::Rc;
 
 /// Enables/disables individual rewrite stages (for ablation studies).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -162,6 +163,26 @@ impl Explain {
     }
 }
 
+/// A traced `optimize` call's sink, with the cost of every expression its
+/// rule events have reported so far: each expression is estimated once per
+/// call, and the memo goes when the call returns.
+struct Tracer<'s> {
+    sink: &'s TraceSink,
+    costs: HashMap<NalgExpr, Option<Cost>>,
+}
+
+impl Tracer<'_> {
+    /// The estimated cost of `e`, or `None` if the estimator rejects it.
+    fn cost(&mut self, e: &NalgExpr, ws: &WebScheme, stats: &SiteStatistics) -> Option<Cost> {
+        if let Some(&cost) = self.costs.get(e) {
+            return cost;
+        }
+        let cost = estimate(e, ws, stats).ok().map(|est| est.cost);
+        self.costs.insert(e.clone(), cost);
+        cost
+    }
+}
+
 /// The plan selector.
 pub struct Optimizer<'a> {
     ws: &'a WebScheme,
@@ -237,23 +258,55 @@ impl<'a> Optimizer<'a> {
     /// the corresponding fields.
     fn rule_event(
         &self,
-        sink: &TraceSink,
+        tracer: &mut Tracer<'_>,
         rule: &str,
         before: Option<&NalgExpr>,
         after: &NalgExpr,
     ) {
         let mut fields: Vec<(String, FieldValue)> = Vec::new();
-        if let Some(b) = before {
-            if let Ok(est) = estimate(b, self.ws, self.stats) {
-                fields.push(("pages_before".to_string(), est.cost.pages.into()));
-                fields.push(("bytes_before".to_string(), est.cost.bytes.into()));
+        if let Some(cost) = before.and_then(|b| tracer.cost(b, self.ws, self.stats)) {
+            fields.push(("pages_before".to_string(), cost.pages.into()));
+            fields.push(("bytes_before".to_string(), cost.bytes.into()));
+        }
+        if let Some(cost) = tracer.cost(after, self.ws, self.stats) {
+            fields.push(("pages_after".to_string(), cost.pages.into()));
+            fields.push(("bytes_after".to_string(), cost.bytes.into()));
+        }
+        tracer
+            .sink
+            .event(EventKind::Optimizer, rule, self.trace_parent, fields);
+    }
+
+    /// Runs the enabled rules of one phase on a candidate, in place, and
+    /// collects the constraints they lean on; traces every rule that
+    /// changed the candidate. `false` if a rule rejected it.
+    fn run_phase(
+        &self,
+        phase: RewritePhase,
+        cur: &mut NalgExpr,
+        deps: &mut BTreeSet<ConstraintDependency>,
+        gate: &dyn Fn(&ConstraintDependency) -> bool,
+        mut tracer: Option<&mut Tracer<'_>>,
+    ) -> bool {
+        for &rule in rules_for_phase(phase) {
+            if !rule.enabled(&self.mask) {
+                continue;
+            }
+            let before = tracer.is_some().then(|| cur.clone());
+            match rule.apply(cur, self.ws, self.stats, gate) {
+                RuleOutcome::NotApplicable => {}
+                RuleOutcome::Applied { used } => {
+                    if let (Some(t), Some(before)) = (tracer.as_deref_mut(), &before) {
+                        if cur != before {
+                            self.rule_event(t, rule.trace_name(), Some(before), cur);
+                        }
+                    }
+                    deps.extend(used);
+                }
+                RuleOutcome::Rejected => return false,
             }
         }
-        if let Ok(est) = estimate(after, self.ws, self.stats) {
-            fields.push(("pages_after".to_string(), est.cost.pages.into()));
-            fields.push(("bytes_after".to_string(), est.cost.bytes.into()));
-        }
-        sink.event(EventKind::Optimizer, rule, self.trace_parent, fields);
+        true
     }
 
     /// Allows incomplete navigations (builder style).
@@ -265,7 +318,10 @@ impl<'a> Optimizer<'a> {
     /// Runs Algorithm 1 on a conjunctive query.
     pub fn optimize(&self, q: &ConjunctiveQuery) -> Result<Explain> {
         q.validate(self.catalog)?;
-        let sink = self.trace.as_ref();
+        let mut tracer = self.trace.as_ref().map(|sink| Tracer {
+            sink,
+            costs: HashMap::new(),
+        });
         // The constraint gate: a quarantined constraint may not license a
         // rewrite. Without a health registry the gate is always open.
         let health = self.health;
@@ -273,132 +329,103 @@ impl<'a> Optimizer<'a> {
             move |d: &ConstraintDependency| health.is_none_or(|h| !h.is_quarantined(&d.key()));
         // Steps 1–2: seeds (rule 1, all combinations).
         let seeds = self.build_seeds(q)?;
-        if let Some(sink) = sink {
+        if let Some(t) = tracer.as_mut() {
             for s in &seeds {
-                self.rule_event(sink, RewriteRule::DefaultNavigation.trace_name(), None, s);
+                self.rule_event(t, RewriteRule::DefaultNavigation.trace_name(), None, s);
             }
         }
         let seed_count = seeds.len();
-        // Step 3: normalization (rule 4, via the phase registry).
+        // Step 3: normalization (rule 4, via the phase registry). Rule 4
+        // never rejects, so every seed survives it.
         let seeds: Vec<NalgExpr> = seeds
             .into_iter()
-            .map(|s| {
-                let mut cur = s;
-                for &rule in rules_for_phase(RewritePhase::Normalize) {
-                    if !rule.enabled(&self.mask) {
-                        continue;
-                    }
-                    if let RuleOutcome::Applied { expr, .. } =
-                        rule.apply(&cur, self.ws, self.stats, &gate)
-                    {
-                        if let Some(sink) = sink {
-                            if expr != cur {
-                                self.rule_event(sink, rule.trace_name(), Some(&cur), &expr);
-                            }
-                        }
-                        cur = expr;
-                    }
-                }
-                cur
+            .filter_map(|mut s| {
+                let mut unused = BTreeSet::new();
+                self.run_phase(
+                    RewritePhase::Normalize,
+                    &mut s,
+                    &mut unused,
+                    &gate,
+                    tracer.as_mut(),
+                )
+                .then_some(s)
             })
             .collect();
         // Step 4: closure under rules 8/9. Each pool entry carries the set
         // of constraints its rewrite chain has assumed so far (provenance).
-        let mut pool: Vec<(NalgExpr, BTreeSet<ConstraintDependency>)> = Vec::new();
-        let mut seen: HashSet<NalgExpr> = HashSet::new();
-        let mut worklist: Vec<(NalgExpr, BTreeSet<ConstraintDependency>)> = Vec::new();
+        // The pool and the dedup set share each candidate, and the
+        // worklist holds pool indices: no candidate is copied.
+        let mut pool: Vec<(Rc<NalgExpr>, BTreeSet<ConstraintDependency>)> = Vec::new();
+        let mut seen: HashSet<Rc<NalgExpr>> = HashSet::new();
+        let mut worklist: Vec<usize> = Vec::new();
         let mut cap_hit = false;
         for s in seeds {
-            if seen.insert(s.clone()) {
-                pool.push((s.clone(), BTreeSet::new()));
-                worklist.push((s, BTreeSet::new()));
+            let s = Rc::new(s);
+            if seen.insert(Rc::clone(&s)) {
+                worklist.push(pool.len());
+                pool.push((s, BTreeSet::new()));
             }
         }
-        while let Some((e, deps)) = worklist.pop() {
+        while let Some(i) = worklist.pop() {
             if pool.len() >= self.max_candidates {
                 cap_hit = true;
                 break;
             }
-            // For rule attribution only: the rule-8-only candidate set.
-            // Candidate generation itself always uses the combined call
-            // below, so tracing cannot perturb pool order.
-            let rule8: Vec<NalgExpr> = if sink.is_some() && self.mask.pointer_join {
-                join_rewrite_candidates_tracked(&e, self.ws, true, false, &gate)
-                    .into_iter()
-                    .map(|(c, _)| c)
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            for (cand, used) in join_rewrite_candidates_tracked(
-                &e,
+            let rewrites = join_rewrite_candidates_tracked(
+                &pool[i].0,
                 self.ws,
                 self.mask.pointer_join,
                 self.mask.pointer_chase,
                 &gate,
-            ) {
-                if seen.insert(cand.clone()) {
-                    if let Some(sink) = sink {
-                        let rule = if rule8.contains(&cand) {
-                            RewriteRule::PointerJoin
-                        } else {
-                            RewriteRule::PointerChase
-                        };
-                        self.rule_event(sink, rule.trace_name(), Some(&e), &cand);
+            );
+            for (cand, used, rule) in rewrites {
+                let cand = Rc::new(cand);
+                if seen.insert(Rc::clone(&cand)) {
+                    if let Some(t) = tracer.as_mut() {
+                        self.rule_event(t, rule.trace_name(), Some(&pool[i].0), &cand);
                     }
-                    let mut cand_deps = deps.clone();
+                    let mut cand_deps = pool[i].1.clone();
                     cand_deps.extend(used);
-                    pool.push((cand.clone(), cand_deps.clone()));
-                    worklist.push((cand, cand_deps));
+                    worklist.push(pool.len());
+                    pool.push((cand, cand_deps));
                 }
             }
         }
+        drop(seen);
         let pool_count = pool.len();
         // Steps 5–7: per-candidate normalization, then validation.
-        let mut finals: Vec<(NalgExpr, BTreeSet<ConstraintDependency>)> = Vec::new();
-        let mut seen_final: HashSet<NalgExpr> = HashSet::new();
+        let mut finals: Vec<(Rc<NalgExpr>, BTreeSet<ConstraintDependency>)> = Vec::new();
+        let mut seen_final: HashSet<Rc<NalgExpr>> = HashSet::new();
         let (mut pruned_unpushable, mut pruned_invalid, mut pruned_duplicate) = (0u64, 0u64, 0u64);
-        'pool: for (e, mut deps) in pool {
-            let mut cur = e;
+        'pool: for (cand, mut deps) in pool {
+            let mut cur = Rc::unwrap_or_clone(cand);
             // The registry stages each surviving candidate through
             // normalize → push → prune. (A pointer-chase rewrite can leave
             // a duplicated navigation behind — the same link followed
             // twice — which is why rule 4 runs again here.)
             for &phase in CANDIDATE_PHASES {
-                for &rule in rules_for_phase(phase) {
-                    if !rule.enabled(&self.mask) {
-                        continue;
-                    }
-                    match rule.apply(&cur, self.ws, self.stats, &gate) {
-                        RuleOutcome::NotApplicable => {}
-                        RuleOutcome::Applied { expr, used } => {
-                            if let Some(sink) = sink {
-                                if expr != cur {
-                                    self.rule_event(sink, rule.trace_name(), Some(&cur), &expr);
-                                }
-                            }
-                            deps.extend(used);
-                            cur = expr;
-                        }
-                        RuleOutcome::Rejected => {
-                            pruned_unpushable += 1;
-                            continue 'pool;
-                        }
-                    }
+                if !self.run_phase(phase, &mut cur, &mut deps, &gate, tracer.as_mut()) {
+                    pruned_unpushable += 1;
+                    continue 'pool;
                 }
             }
             if !validate(&cur, self.ws) {
                 pruned_invalid += 1;
-            } else if seen_final.insert(cur.clone()) {
+                continue;
+            }
+            let cur = Rc::new(cur);
+            if seen_final.insert(Rc::clone(&cur)) {
                 finals.push((cur, deps));
             } else {
                 pruned_duplicate += 1;
             }
         }
+        drop(seen_final);
         // Step 8: cost and sort.
         let mut candidates: Vec<CandidatePlan> = Vec::new();
         let mut pruned_uncostable = 0u64;
         for (expr, deps) in finals {
+            let expr = Rc::unwrap_or_clone(expr);
             let Ok(est) = estimate(&expr, self.ws, self.stats) else {
                 pruned_uncostable += 1;
                 continue;
@@ -409,8 +436,8 @@ impl<'a> Optimizer<'a> {
                 dependencies: deps.into_iter().collect(),
             });
         }
-        if let Some(sink) = sink {
-            sink.event(
+        if let Some(t) = &tracer {
+            t.sink.event(
                 EventKind::Optimizer,
                 "optimizer.summary",
                 self.trace_parent,
@@ -484,25 +511,28 @@ impl<'a> Optimizer<'a> {
         let orders = connected_orders(q, self.max_candidates);
         let mut seeds = Vec::new();
         for combo in &combos {
+            // a combination's atoms are qualified and renamed once, when
+            // its first seed is built, and shared by all its join orders
+            let mut atoms = None;
             for order in &orders {
                 if seeds.len() >= self.max_candidates {
                     return Ok(seeds);
                 }
-                seeds.push(self.build_seed(q, combo, order)?);
+                let atoms = match &atoms {
+                    Some(atoms) => atoms,
+                    None => atoms.insert(self.seed_atoms(combo)?),
+                };
+                seeds.push(self.build_seed(q, atoms, order)?);
             }
         }
         Ok(seeds)
     }
 
-    fn build_seed(
-        &self,
-        q: &ConjunctiveQuery,
-        navs: &[&DefaultNavigation],
-        order: &[usize],
-    ) -> Result<NalgExpr> {
+    /// Each atom's navigation, qualified, with aliases renamed apart from
+    /// the earlier atoms', and its attribute bindings renamed alike.
+    fn seed_atoms(&self, navs: &[&DefaultNavigation]) -> Result<Vec<SeedAtom>> {
         let mut used: HashSet<String> = HashSet::new();
-        let mut exprs: Vec<NalgExpr> = Vec::new();
-        let mut binds: Vec<Vec<(String, String)>> = Vec::new();
+        let mut atoms = Vec::with_capacity(navs.len());
         for (i, nav) in navs.iter().enumerate() {
             let mut e = qualify_expr(&nav.expr, self.ws)?;
             let mut bmap = nav.bindings.clone();
@@ -521,7 +551,7 @@ impl<'a> Optimizer<'a> {
                         new = format!("{alias}_{i}_{n}");
                         n += 1;
                     }
-                    e = rename_alias(&e, &alias, &new);
+                    rename_alias(&mut e, &alias, &new);
                     let prefix = format!("{alias}.");
                     for (_, col) in bmap.iter_mut() {
                         if let Some(rest) = col.strip_prefix(&prefix) {
@@ -533,11 +563,20 @@ impl<'a> Optimizer<'a> {
                     used.insert(alias);
                 }
             }
-            exprs.push(e);
-            binds.push(bmap);
+            atoms.push((e, bmap));
         }
+        Ok(atoms)
+    }
+
+    fn build_seed(
+        &self,
+        q: &ConjunctiveQuery,
+        atoms: &[SeedAtom],
+        order: &[usize],
+    ) -> Result<NalgExpr> {
         let bind = |i: usize, attr: &str| -> Result<String> {
-            binds[i]
+            atoms[i]
+                .1
                 .iter()
                 .find_map(|(a, c)| (a == attr).then(|| c.clone()))
                 .ok_or_else(|| OptError::UnknownViewAttribute {
@@ -547,13 +586,13 @@ impl<'a> Optimizer<'a> {
         };
         // left-deep join tree over the given atom order; a join predicate
         // attaches when the later (in order) of its two atoms enters
-        let mut slots: Vec<Option<NalgExpr>> = exprs.into_iter().map(Some).collect();
         let mut in_tree: Vec<usize> = Vec::new();
         let mut tree: Option<NalgExpr> = None;
         for &k in order {
-            let e = slots
-                .get_mut(k)
-                .and_then(Option::take)
+            let e = atoms
+                .get(k)
+                .filter(|_| !in_tree.contains(&k))
+                .map(|(e, _)| e.clone())
                 .ok_or_else(|| OptError::BadQuery(format!("bad atom order index {k}")))?;
             tree = Some(match tree {
                 None => e,
@@ -602,6 +641,10 @@ impl<'a> Optimizer<'a> {
         Ok(tree.project(cols))
     }
 }
+
+/// One atom of a seed: its qualified navigation and its attribute
+/// bindings (view attribute, qualified column).
+type SeedAtom = (NalgExpr, Vec<(String, String)>);
 
 /// Enumerates left-deep atom orders in which every atom (after the first)
 /// is connected by a join predicate to an earlier atom, falling back to

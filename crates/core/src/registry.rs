@@ -15,7 +15,7 @@
 
 use crate::optimizer::RuleMask;
 use crate::rules::{
-    merge_repeated_navigations, prune_navigations_tracked, push_selections_tracked,
+    merge_repeated_navigations, prune_navigations_tracked, push_selections_tracked, take,
     ConstraintDependency,
 };
 use crate::stats::SiteStatistics;
@@ -61,17 +61,16 @@ pub enum RuleOutcome {
     /// The rule does not run in this mode (generative rules — seeds and
     /// branching — are driven by their own dedicated machinery).
     NotApplicable,
-    /// The rule ran; `expr` is the (possibly unchanged) result and `used`
-    /// the link/inclusion constraints the rewrite leaned on.
+    /// The rule ran and rewrote the candidate in place (possibly into
+    /// itself); `used` holds the link/inclusion constraints the rewrite
+    /// leaned on.
     Applied {
-        /// The rewritten expression (compare with the input to detect a
-        /// no-op — only genuine rewrites are traced).
-        expr: NalgExpr,
         /// Constraint provenance accumulated by this application.
         used: BTreeSet<ConstraintDependency>,
     },
     /// The rule determined the candidate cannot survive (e.g. a selection
-    /// that cannot be pushed into any computable position).
+    /// that cannot be pushed into any computable position); the candidate
+    /// is left unspecified, to be dropped.
     Rejected,
 }
 
@@ -132,40 +131,36 @@ impl RewriteRule {
         }
     }
 
-    /// Applies a normalization rule to one candidate. Generative rules
-    /// (seeds, branching) return [`RuleOutcome::NotApplicable`]; they are
-    /// driven by [`crate::Optimizer`]'s dedicated seed/closure machinery.
+    /// Applies a normalization rule to one candidate, in place. Generative
+    /// rules (seeds, branching) return [`RuleOutcome::NotApplicable`];
+    /// they are driven by [`crate::Optimizer`]'s dedicated seed/closure
+    /// machinery.
     pub(crate) fn apply(
         self,
-        expr: &NalgExpr,
+        expr: &mut NalgExpr,
         ws: &WebScheme,
         stats: &SiteStatistics,
         gate: &dyn Fn(&ConstraintDependency) -> bool,
     ) -> RuleOutcome {
-        match self {
+        let rewritten = match self {
             RewriteRule::DefaultNavigation
             | RewriteRule::PointerJoin
-            | RewriteRule::PointerChase => RuleOutcome::NotApplicable,
-            RewriteRule::MergeRepeated => RuleOutcome::Applied {
-                expr: merge_repeated_navigations(expr.clone(), ws, stats),
-                used: BTreeSet::new(),
-            },
-            RewriteRule::PushSelections => match push_selections_tracked(expr, ws, gate) {
-                Ok((e, used)) => RuleOutcome::Applied {
-                    expr: e,
+            | RewriteRule::PointerChase => return RuleOutcome::NotApplicable,
+            RewriteRule::MergeRepeated => Ok((
+                merge_repeated_navigations(take(expr), ws, stats),
+                Vec::new(),
+            )),
+            RewriteRule::PushSelections => push_selections_tracked(take(expr), ws, gate),
+            RewriteRule::PruneNavigations => prune_navigations_tracked(take(expr), ws, gate),
+        };
+        match rewritten {
+            Ok((e, used)) => {
+                *expr = e;
+                RuleOutcome::Applied {
                     used: used.into_iter().collect(),
-                },
-                Err(_) => RuleOutcome::Rejected,
-            },
-            RewriteRule::PruneNavigations => {
-                match prune_navigations_tracked(expr.clone(), ws, gate) {
-                    Ok((e, used)) => RuleOutcome::Applied {
-                        expr: e,
-                        used: used.into_iter().collect(),
-                    },
-                    Err(_) => RuleOutcome::Rejected,
                 }
             }
+            Err(_) => RuleOutcome::Rejected,
         }
     }
 }

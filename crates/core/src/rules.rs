@@ -16,10 +16,11 @@
 //! qualified (`alias.path…`); [`qualify_expr`] normalizes an expression
 //! into that form once, before rewriting starts.
 
+use crate::registry::RewriteRule;
 use crate::stats::SiteStatistics;
 use crate::{OptError, Result};
 use adm::{AttrRef, InclusionConstraint, LinkConstraint, WebScheme};
-use nalg::expr::{field_of_column, resolve_column};
+use nalg::expr::{field_of_column, resolve_column, resolves, NodeColumns};
 use nalg::{NalgExpr, Pred};
 use std::collections::HashMap;
 use std::fmt;
@@ -73,44 +74,82 @@ pub fn open_gate(_: &ConstraintDependency) -> bool {
 // tree addressing
 // --------------------------------------------------------------------------
 
-/// All node paths of the tree, preorder (root first). A path is the list of
-/// child indices from the root.
-pub fn all_paths(e: &NalgExpr) -> Vec<Vec<usize>> {
-    let mut out = vec![vec![]];
-    for (i, c) in e.children().iter().enumerate() {
-        for mut p in all_paths(c) {
-            p.insert(0, i);
-            out.push(p);
+/// Visits every node in preorder — the root first, then its inputs left to
+/// right — with the node's child-index path from the root, and stops at the
+/// first `Some` that `f` returns.
+fn find_node<'e, T>(
+    e: &'e NalgExpr,
+    f: &mut impl FnMut(&'e NalgExpr, &[usize]) -> Option<T>,
+) -> Option<T> {
+    fn go<'e, T>(
+        e: &'e NalgExpr,
+        path: &mut Vec<usize>,
+        f: &mut impl FnMut(&'e NalgExpr, &[usize]) -> Option<T>,
+    ) -> Option<T> {
+        if let Some(t) = f(e, path) {
+            return Some(t);
         }
+        for (i, c) in e.inputs().enumerate() {
+            path.push(i);
+            if let Some(t) = go(c, path, f) {
+                return Some(t);
+            }
+            path.pop();
+        }
+        None
     }
-    out
+    go(e, &mut Vec::new(), f)
 }
 
-/// The node at a path.
-pub fn get_at<'a>(e: &'a NalgExpr, path: &[usize]) -> &'a NalgExpr {
-    match path.split_first() {
-        None => e,
-        Some((&i, rest)) => get_at(e.children()[i], rest),
+/// The node at a child-index path, for rewriting in place.
+fn node_at_mut<'a>(e: &'a mut NalgExpr, path: &[usize]) -> &'a mut NalgExpr {
+    let Some((&i, rest)) = path.split_first() else {
+        return e;
+    };
+    if matches!(e, NalgExpr::Entry { .. } | NalgExpr::External { .. }) {
+        return e;
+    }
+    match e {
+        NalgExpr::Select { input, .. }
+        | NalgExpr::Project { input, .. }
+        | NalgExpr::Unnest { input, .. }
+        | NalgExpr::Follow { input, .. } => node_at_mut(input, rest),
+        NalgExpr::Join { left, .. } if i == 0 => node_at_mut(left, rest),
+        NalgExpr::Join { right, .. } => node_at_mut(right, rest),
+        NalgExpr::Entry { .. } | NalgExpr::External { .. } => unreachable!("a leaf has no inputs"),
     }
 }
 
-/// Rebuilds the tree with the node at `path` replaced.
-pub fn replace_at(e: NalgExpr, path: &[usize], new: NalgExpr) -> NalgExpr {
+/// Moves a node out of the tree, leaving an allocation-free placeholder
+/// to be overwritten.
+pub(crate) fn take(e: &mut NalgExpr) -> NalgExpr {
+    std::mem::replace(
+        e,
+        NalgExpr::External {
+            name: String::new(),
+        },
+    )
+}
+
+/// A copy of `e` with the node at `path` replaced by `new`; the replaced
+/// subtree itself is not copied.
+fn with_node(e: &NalgExpr, path: &[usize], new: NalgExpr) -> NalgExpr {
     let Some((&i, rest)) = path.split_first() else {
         return new;
     };
+    let sub = |input: &NalgExpr| Box::new(with_node(input, rest, new));
     match e {
         NalgExpr::Select { input, pred } => NalgExpr::Select {
-            input: Box::new(replace_at(*input, rest, new)),
-            pred,
+            input: sub(input),
+            pred: pred.clone(),
         },
         NalgExpr::Project { input, cols } => NalgExpr::Project {
-            input: Box::new(replace_at(*input, rest, new)),
-            cols,
+            input: sub(input),
+            cols: cols.clone(),
         },
         NalgExpr::Unnest { input, attr } => NalgExpr::Unnest {
-            input: Box::new(replace_at(*input, rest, new)),
-            attr,
+            input: sub(input),
+            attr: attr.clone(),
         },
         NalgExpr::Follow {
             input,
@@ -118,152 +157,220 @@ pub fn replace_at(e: NalgExpr, path: &[usize], new: NalgExpr) -> NalgExpr {
             target,
             alias,
         } => NalgExpr::Follow {
-            input: Box::new(replace_at(*input, rest, new)),
-            link,
-            target,
-            alias,
+            input: sub(input),
+            link: link.clone(),
+            target: target.clone(),
+            alias: alias.clone(),
         },
-        NalgExpr::Join { left, right, on } => {
-            if i == 0 {
-                NalgExpr::Join {
-                    left: Box::new(replace_at(*left, rest, new)),
-                    right,
-                    on,
-                }
-            } else {
-                NalgExpr::Join {
-                    left,
-                    right: Box::new(replace_at(*right, rest, new)),
-                    on,
-                }
-            }
-        }
-        leaf => leaf,
+        NalgExpr::Join { left, right, on } if i == 0 => NalgExpr::Join {
+            left: sub(left),
+            right: right.clone(),
+            on: on.clone(),
+        },
+        NalgExpr::Join { left, right, on } => NalgExpr::Join {
+            left: left.clone(),
+            right: sub(right),
+            on: on.clone(),
+        },
+        leaf => leaf.clone(),
     }
+}
+
+/// Replaces the follow or unnest at `path` by its input, in place. Any
+/// other node is left as it is (`false`).
+fn splice_out(e: &mut NalgExpr, path: &[usize]) -> bool {
+    let slot = node_at_mut(e, path);
+    if !matches!(slot, NalgExpr::Follow { .. } | NalgExpr::Unnest { .. }) {
+        return false;
+    }
+    if let NalgExpr::Follow { input, .. } | NalgExpr::Unnest { input, .. } = take(slot) {
+        *slot = *input;
+    }
+    true
 }
 
 // --------------------------------------------------------------------------
 // reference mapping
 // --------------------------------------------------------------------------
 
-fn map_pred(p: &Pred, f: &impl Fn(&str) -> String) -> Pred {
+/// Rewrites in place every reference for which `f` returns a replacement.
+fn map_ref(r: &mut String, f: &impl Fn(&str) -> Option<String>) {
+    if let Some(new) = f(r) {
+        *r = new;
+    }
+}
+
+fn map_pred(p: &mut Pred, f: &impl Fn(&str) -> Option<String>) {
     match p {
-        Pred::Eq(a, v) => Pred::Eq(f(a), v.clone()),
-        Pred::EqAttr(a, b) => Pred::EqAttr(f(a), f(b)),
-        Pred::And(ps) => Pred::And(ps.iter().map(|q| map_pred(q, f)).collect()),
-    }
-}
-
-/// Applies `f` to every attribute reference in the tree (predicates,
-/// projections, join keys, unnest attributes, follow links).
-pub fn map_refs(e: &NalgExpr, f: &impl Fn(&str) -> String) -> NalgExpr {
-    match e {
-        NalgExpr::Entry { .. } | NalgExpr::External { .. } => e.clone(),
-        NalgExpr::Select { input, pred } => NalgExpr::Select {
-            input: Box::new(map_refs(input, f)),
-            pred: map_pred(pred, f),
-        },
-        NalgExpr::Project { input, cols } => NalgExpr::Project {
-            input: Box::new(map_refs(input, f)),
-            cols: cols.iter().map(|c| f(c)).collect(),
-        },
-        NalgExpr::Join { left, right, on } => NalgExpr::Join {
-            left: Box::new(map_refs(left, f)),
-            right: Box::new(map_refs(right, f)),
-            on: on.iter().map(|(a, b)| (f(a), f(b))).collect(),
-        },
-        NalgExpr::Unnest { input, attr } => NalgExpr::Unnest {
-            input: Box::new(map_refs(input, f)),
-            attr: f(attr),
-        },
-        NalgExpr::Follow {
-            input,
-            link,
-            target,
-            alias,
-        } => NalgExpr::Follow {
-            input: Box::new(map_refs(input, f)),
-            link: f(link),
-            target: target.clone(),
-            alias: alias.clone(),
-        },
-    }
-}
-
-/// Renames an alias: rewrites `Entry`/`Follow` alias fields equal to `from`
-/// and every reference prefixed by `from.`.
-pub fn rename_alias(e: &NalgExpr, from: &str, to: &str) -> NalgExpr {
-    let prefix = format!("{from}.");
-    let mapped = map_refs(e, &|s: &str| {
-        if let Some(rest) = s.strip_prefix(&prefix) {
-            format!("{to}.{rest}")
-        } else {
-            s.to_string()
+        Pred::Eq(a, _) => map_ref(a, f),
+        Pred::EqAttr(a, b) => {
+            map_ref(a, f);
+            map_ref(b, f);
         }
-    });
-    mapped.transform_bottom_up(&|n| match n {
-        NalgExpr::Entry { scheme, alias } if alias == from => NalgExpr::Entry {
-            scheme,
-            alias: to.to_string(),
-        },
-        NalgExpr::Follow {
-            input,
-            link,
-            target,
-            alias,
-        } if alias == from => NalgExpr::Follow {
-            input,
-            link,
-            target,
-            alias: to.to_string(),
-        },
-        other => other,
-    })
+        Pred::And(ps) => ps.iter_mut().for_each(|q| map_pred(q, f)),
+    }
 }
 
-/// Replaces every reference exactly equal to `from` with `to`.
-pub fn substitute_attr(e: &NalgExpr, from: &str, to: &str) -> NalgExpr {
+/// Rewrites every attribute reference in the tree (predicates,
+/// projections, join keys, unnest attributes, follow links) for which `f`
+/// returns a replacement, in place; references `f` leaves alone (`None`)
+/// are not touched.
+pub fn map_refs(e: &mut NalgExpr, f: &impl Fn(&str) -> Option<String>) {
+    match e {
+        NalgExpr::Entry { .. } | NalgExpr::External { .. } => {}
+        NalgExpr::Select { input, pred } => {
+            map_refs(input, f);
+            map_pred(pred, f);
+        }
+        NalgExpr::Project { input, cols } => {
+            map_refs(input, f);
+            cols.iter_mut().for_each(|c| map_ref(c, f));
+        }
+        NalgExpr::Join { left, right, on } => {
+            map_refs(left, f);
+            map_refs(right, f);
+            for (a, b) in on {
+                map_ref(a, f);
+                map_ref(b, f);
+            }
+        }
+        NalgExpr::Unnest { input, attr } => {
+            map_refs(input, f);
+            map_ref(attr, f);
+        }
+        NalgExpr::Follow { input, link, .. } => {
+            map_refs(input, f);
+            map_ref(link, f);
+        }
+    }
+}
+
+/// The rest of a reference `alias.rest` qualified by `alias`.
+fn strip_alias<'s>(r: &'s str, alias: &str) -> Option<&'s str> {
+    r.strip_prefix(alias)?.strip_prefix('.')
+}
+
+/// Renames an alias in place: rewrites `Entry`/`Follow` alias fields equal
+/// to `from` and every reference prefixed by `from.`.
+pub fn rename_alias(e: &mut NalgExpr, from: &str, to: &str) {
     map_refs(e, &|s: &str| {
-        if s == from {
-            to.to_string()
-        } else {
-            s.to_string()
+        strip_alias(s, from).map(|rest| format!("{to}.{rest}"))
+    });
+    fn rename_nodes(e: &mut NalgExpr, from: &str, to: &str) {
+        if let NalgExpr::Entry { alias, .. } | NalgExpr::Follow { alias, .. } = e {
+            if alias == from {
+                *alias = to.to_string();
+            }
         }
-    })
+        match e {
+            NalgExpr::Select { input, .. }
+            | NalgExpr::Project { input, .. }
+            | NalgExpr::Unnest { input, .. }
+            | NalgExpr::Follow { input, .. } => rename_nodes(input, from, to),
+            NalgExpr::Join { left, right, .. } => {
+                rename_nodes(left, from, to);
+                rename_nodes(right, from, to);
+            }
+            NalgExpr::Entry { .. } | NalgExpr::External { .. } => {}
+        }
+    }
+    rename_nodes(e, from, to);
 }
 
-/// The attribute references a node itself carries (not its children's).
-fn node_refs(e: &NalgExpr) -> Vec<String> {
+/// Replaces, in place, every reference exactly equal to `from` with `to`.
+pub fn substitute_attr(e: &mut NalgExpr, from: &str, to: &str) {
+    map_refs(e, &|s: &str| (s == from).then(|| to.to_string()));
+}
+
+/// Calls `f` on each attribute reference of a predicate.
+fn for_each_pred_ref<'e>(p: &'e Pred, f: &mut impl FnMut(&'e str)) {
+    match p {
+        Pred::Eq(a, _) => f(a),
+        Pred::EqAttr(a, b) => {
+            f(a);
+            f(b);
+        }
+        Pred::And(ps) => ps.iter().for_each(|q| for_each_pred_ref(q, f)),
+    }
+}
+
+/// Whether every attribute reference of a predicate satisfies `f`.
+fn all_pred_refs(p: &Pred, f: &impl Fn(&str) -> bool) -> bool {
+    match p {
+        Pred::Eq(a, _) => f(a),
+        Pred::EqAttr(a, b) => f(a) && f(b),
+        Pred::And(ps) => ps.iter().all(|q| all_pred_refs(q, f)),
+    }
+}
+
+/// Calls `f` on each attribute reference a node itself carries (not its
+/// children's).
+fn for_each_node_ref<'e>(e: &'e NalgExpr, f: &mut impl FnMut(&'e str)) {
     match e {
-        NalgExpr::Entry { .. } | NalgExpr::External { .. } => vec![],
-        NalgExpr::Select { pred, .. } => pred.attrs().iter().map(|s| s.to_string()).collect(),
-        NalgExpr::Project { cols, .. } => cols.clone(),
-        NalgExpr::Join { on, .. } => on
-            .iter()
-            .flat_map(|(a, b)| [a.clone(), b.clone()])
-            .collect(),
-        NalgExpr::Unnest { attr, .. } => vec![attr.clone()],
-        NalgExpr::Follow { link, .. } => vec![link.clone()],
+        NalgExpr::Entry { .. } | NalgExpr::External { .. } => {}
+        NalgExpr::Select { pred, .. } => for_each_pred_ref(pred, f),
+        NalgExpr::Project { cols, .. } => cols.iter().for_each(|c| f(c)),
+        NalgExpr::Join { on, .. } => on.iter().for_each(|(a, b)| {
+            f(a);
+            f(b);
+        }),
+        NalgExpr::Unnest { attr, .. } => f(attr),
+        NalgExpr::Follow { link, .. } => f(link),
     }
 }
 
-/// All references in the tree, excluding those inside the subtree at
-/// `skip` (the node's own refs at `skip` are also excluded).
-fn refs_excluding(e: &NalgExpr, skip: &[usize]) -> Vec<String> {
-    let mut out = Vec::new();
-    fn walk(e: &NalgExpr, path: &mut Vec<usize>, skip: &[usize], out: &mut Vec<String>) {
-        if path.as_slice() == skip {
-            return;
+/// One plan's nodes in preorder with each node's subtree extent — node
+/// `i`'s subtree is `i..end[i]` — so "every reference outside this
+/// subtree" is a scan over two index ranges instead of a tree walk.
+struct Preorder<'e> {
+    nodes: Vec<&'e NalgExpr>,
+    end: Vec<usize>,
+}
+
+impl<'e> Preorder<'e> {
+    fn new(e: &'e NalgExpr) -> Self {
+        fn go<'e>(e: &'e NalgExpr, out: &mut Preorder<'e>) {
+            let i = out.nodes.len();
+            out.nodes.push(e);
+            out.end.push(0);
+            for c in e.inputs() {
+                go(c, out);
+            }
+            out.end[i] = out.nodes.len();
         }
-        out.extend(node_refs(e));
-        for (i, c) in e.children().iter().enumerate() {
-            path.push(i);
-            walk(c, path, skip, out);
-            path.pop();
-        }
+        let mut out = Preorder {
+            nodes: Vec::new(),
+            end: Vec::new(),
+        };
+        go(e, &mut out);
+        out
     }
-    walk(e, &mut Vec::new(), skip, &mut out);
-    out
+
+    /// Calls `f` on every attribute reference outside node `i`'s subtree
+    /// (the node's own references included), in preorder.
+    fn refs_outside(&self, i: usize, f: &mut impl FnMut(&'e str)) {
+        let outside = (0..i).chain(self.end[i]..self.nodes.len());
+        outside.for_each(|j| for_each_node_ref(self.nodes[j], f));
+    }
+
+    /// The child-index path from the root to node `i`.
+    fn path(&self, i: usize) -> Vec<usize> {
+        let mut path = Vec::new();
+        let mut j = 0;
+        while j != i {
+            // a node's first input follows it; its second (a join's right
+            // side) starts where the first input's subtree ends
+            let right = self.end[j + 1];
+            if i < right {
+                path.push(0);
+                j += 1;
+            } else {
+                path.push(1);
+                j = right;
+            }
+        }
+        path
+    }
 }
 
 // --------------------------------------------------------------------------
@@ -273,70 +380,89 @@ fn refs_excluding(e: &NalgExpr, skip: &[usize]) -> Vec<String> {
 /// Rewrites every attribute reference into its fully qualified form by
 /// resolving it against the referencing operator's input columns.
 pub fn qualify_expr(e: &NalgExpr, ws: &WebScheme) -> Result<NalgExpr> {
-    let q = |cols: &[String], name: &str| -> Result<String> {
-        let i = resolve_column(cols, name).map_err(OptError::Eval)?;
-        Ok(cols[i].clone())
+    qualify(e, ws).map(|(q, _)| q)
+}
+
+/// [`qualify_expr`] in one bottom-up pass: the qualified subexpression
+/// with the output columns (or the error deriving them) of `e`, which
+/// qualification leaves unchanged — each reference is replaced by the
+/// very column it resolves to.
+fn qualify<'e>(
+    e: &'e NalgExpr,
+    ws: &WebScheme,
+) -> Result<(NalgExpr, nalg::Result<NodeColumns<'e>>)> {
+    let q = |cols: &NodeColumns<'_>, name: &str| -> Result<String> {
+        let i = resolve_column(&cols.cols, name).map_err(OptError::Eval)?;
+        Ok(cols.cols[i].clone())
+    };
+    // an input's qualified form and its columns, which the parent needs
+    let input = |input: &'e NalgExpr| -> Result<(Box<NalgExpr>, NodeColumns<'e>)> {
+        let (qi, cols) = qualify(input, ws)?;
+        Ok((Box::new(qi), cols.map_err(OptError::Eval)?))
     };
     Ok(match e {
-        NalgExpr::Entry { .. } | NalgExpr::External { .. } => e.clone(),
-        NalgExpr::Select { input, pred } => {
-            let qi = qualify_expr(input, ws)?;
-            let cols = qi.output_columns(ws).map_err(OptError::Eval)?;
+        NalgExpr::Entry { .. } | NalgExpr::External { .. } => (e.clone(), e.column_step(ws, [])),
+        NalgExpr::Select { input: i, pred } => {
+            let (qi, cols) = input(i)?;
             let pred = map_pred_fallible(pred, &|s| q(&cols, s))?;
-            NalgExpr::Select {
-                input: Box::new(qi),
-                pred,
-            }
+            let out = NalgExpr::Select { input: qi, pred };
+            (out, e.column_step(ws, [Ok(cols)]))
         }
-        NalgExpr::Project { input, cols } => {
-            let qi = qualify_expr(input, ws)?;
-            let in_cols = qi.output_columns(ws).map_err(OptError::Eval)?;
-            let cols = cols
+        NalgExpr::Project {
+            input: i,
+            cols: keep,
+        } => {
+            let (qi, cols) = input(i)?;
+            let keep = keep
                 .iter()
-                .map(|c| q(&in_cols, c))
+                .map(|c| q(&cols, c))
                 .collect::<Result<Vec<_>>>()?;
-            NalgExpr::Project {
-                input: Box::new(qi),
-                cols,
-            }
+            let out = NalgExpr::Project {
+                input: qi,
+                cols: keep,
+            };
+            (out, e.column_step(ws, [Ok(cols)]))
         }
         NalgExpr::Join { left, right, on } => {
-            let ql = qualify_expr(left, ws)?;
-            let qr = qualify_expr(right, ws)?;
-            let lcols = ql.output_columns(ws).map_err(OptError::Eval)?;
-            let rcols = qr.output_columns(ws).map_err(OptError::Eval)?;
+            let (ql, lcols) = qualify(left, ws)?;
+            let (qr, rcols) = qualify(right, ws)?;
+            let (lcols, rcols) = (
+                lcols.map_err(OptError::Eval)?,
+                rcols.map_err(OptError::Eval)?,
+            );
             let on = on
                 .iter()
                 .map(|(a, b)| Ok((q(&lcols, a)?, q(&rcols, b)?)))
                 .collect::<Result<Vec<_>>>()?;
-            NalgExpr::Join {
+            let out = NalgExpr::Join {
                 left: Box::new(ql),
                 right: Box::new(qr),
                 on,
-            }
+            };
+            (out, e.column_step(ws, [Ok(lcols), Ok(rcols)]))
         }
-        NalgExpr::Unnest { input, attr } => {
-            let qi = qualify_expr(input, ws)?;
-            let cols = qi.output_columns(ws).map_err(OptError::Eval)?;
-            NalgExpr::Unnest {
+        NalgExpr::Unnest { input: i, attr } => {
+            let (qi, cols) = input(i)?;
+            let out = NalgExpr::Unnest {
                 attr: q(&cols, attr)?,
-                input: Box::new(qi),
-            }
+                input: qi,
+            };
+            (out, e.column_step(ws, [Ok(cols)]))
         }
         NalgExpr::Follow {
-            input,
+            input: i,
             link,
             target,
             alias,
         } => {
-            let qi = qualify_expr(input, ws)?;
-            let cols = qi.output_columns(ws).map_err(OptError::Eval)?;
-            NalgExpr::Follow {
+            let (qi, cols) = input(i)?;
+            let out = NalgExpr::Follow {
                 link: q(&cols, link)?,
-                input: Box::new(qi),
+                input: qi,
                 target: target.clone(),
                 alias: alias.clone(),
-            }
+            };
+            (out, e.column_step(ws, [Ok(cols)]))
         }
     })
 }
@@ -354,39 +480,36 @@ fn map_pred_fallible(p: &Pred, f: &impl Fn(&str) -> Result<String>) -> Result<Pr
 }
 
 /// Full static validation: the expression is computable and every
-/// reference (including selection and join attributes) resolves.
+/// reference (including selection and join attributes) resolves. One
+/// bottom-up pass: each node's columns are derived once, from its inputs'.
 pub fn validate(e: &NalgExpr, ws: &WebScheme) -> bool {
-    if !e.is_computable() || e.output_columns(ws).is_err() {
-        return false;
-    }
-    for path in all_paths(e) {
-        match get_at(e, &path) {
+    fn go<'e>(e: &'e NalgExpr, ws: &WebScheme) -> Option<NodeColumns<'e>> {
+        let step = match e {
+            NalgExpr::Entry { .. } | NalgExpr::External { .. } => e.column_step(ws, []),
             NalgExpr::Select { input, pred } => {
-                let Ok(cols) = input.output_columns(ws) else {
-                    return false;
-                };
-                if pred
-                    .attrs()
-                    .iter()
-                    .any(|a| resolve_column(&cols, a).is_err())
-                {
-                    return false;
+                let cols = go(input, ws)?;
+                if !all_pred_refs(pred, &|a| resolves(&cols.cols, a)) {
+                    return None;
                 }
+                e.column_step(ws, [Ok(cols)])
             }
             NalgExpr::Join { left, right, on } => {
-                let (Ok(l), Ok(r)) = (left.output_columns(ws), right.output_columns(ws)) else {
-                    return false;
-                };
-                for (a, b) in on {
-                    if resolve_column(&l, a).is_err() || resolve_column(&r, b).is_err() {
-                        return false;
-                    }
+                let (l, r) = (go(left, ws)?, go(right, ws)?);
+                if !on
+                    .iter()
+                    .all(|(a, b)| resolves(&l.cols, a) && resolves(&r.cols, b))
+                {
+                    return None;
                 }
+                e.column_step(ws, [Ok(l), Ok(r)])
             }
-            _ => {}
-        }
+            NalgExpr::Project { input, .. }
+            | NalgExpr::Unnest { input, .. }
+            | NalgExpr::Follow { input, .. } => e.column_step(ws, [Ok(go(input, ws)?)]),
+        };
+        step.ok()
     }
-    true
+    go(e, ws).is_some()
 }
 
 // --------------------------------------------------------------------------
@@ -507,30 +630,25 @@ fn spine(e: &NalgExpr) -> Option<(Vec<SpineStep>, Vec<String>)> {
 /// prefix of the other, the join attributes coincide under the alias
 /// correspondence, and at least one join attribute identifies the page
 /// (URL or a key-like attribute per the statistics). Column references to
-/// the dropped side are renamed to the kept side's aliases.
+/// the dropped side are renamed to the kept side's aliases. Rewrites in
+/// place: nothing the merge keeps is copied.
 pub fn merge_repeated_navigations(e: NalgExpr, ws: &WebScheme, stats: &SiteStatistics) -> NalgExpr {
     let mut expr = e;
     loop {
         if let Some((path, from, to)) = find_duplicate_follow(&expr) {
-            let node = get_at(&expr, &path).clone();
-            let NalgExpr::Follow { input, .. } = node else {
-                return expr;
-            };
-            expr = replace_at(expr, &path, *input);
-            expr = rename_alias(&expr, &from, &to);
+            splice_out(&mut expr, &path);
+            rename_alias(&mut expr, &from, &to);
             continue;
         }
         let Some((path, keep_left, renames)) = find_merge(&expr, ws, stats) else {
             return expr;
         };
-        let joined = get_at(&expr, &path).clone();
-        let NalgExpr::Join { left, right, .. } = joined else {
-            return expr;
-        };
-        let kept = if keep_left { *left } else { *right };
-        expr = replace_at(expr, &path, kept);
+        let slot = node_at_mut(&mut expr, &path);
+        if let NalgExpr::Join { left, right, .. } = take(slot) {
+            *slot = if keep_left { *left } else { *right };
+        }
         for (from, to) in renames {
-            expr = rename_alias(&expr, &from, &to);
+            rename_alias(&mut expr, &from, &to);
         }
     }
 }
@@ -540,15 +658,15 @@ pub fn merge_repeated_navigations(e: NalgExpr, ws: &WebScheme, stats: &SiteStati
 /// be dropped with its alias renamed onto the first follow's alias.
 /// Returns `(path of redundant follow, dropped alias, kept alias)`.
 fn find_duplicate_follow(e: &NalgExpr) -> Option<(Vec<usize>, String, String)> {
-    for path in all_paths(e) {
+    find_node(e, &mut |node, path| {
         let NalgExpr::Follow {
             input,
             link,
             alias: outer_alias,
             ..
-        } = get_at(e, &path)
+        } = node
         else {
-            continue;
+            return None;
         };
         // scan the input spine for a follow of the identical link column
         let mut cur: &NalgExpr = input;
@@ -561,18 +679,17 @@ fn find_duplicate_follow(e: &NalgExpr) -> Option<(Vec<usize>, String, String)> {
                     ..
                 } => {
                     if l1 == link && a1 != outer_alias {
-                        return Some((path, outer_alias.clone(), a1.clone()));
+                        return Some((path.to_vec(), outer_alias.clone(), a1.clone()));
                     }
                     cur = deeper;
                 }
                 NalgExpr::Unnest { input: deeper, .. } | NalgExpr::Select { input: deeper, .. } => {
                     cur = deeper
                 }
-                _ => break,
+                _ => return None,
             }
         }
-    }
-    None
+    })
 }
 
 /// `(join path, keep-left?, alias renames)` describing one rule-4 merge.
@@ -580,26 +697,22 @@ type MergeAction = (Vec<usize>, bool, Vec<(String, String)>);
 
 fn find_merge(e: &NalgExpr, ws: &WebScheme, stats: &SiteStatistics) -> Option<MergeAction> {
     let aliases = e.alias_map().ok()?;
-    for path in all_paths(e) {
-        let NalgExpr::Join { left, right, on } = get_at(e, &path) else {
-            continue;
+    find_node(e, &mut |node, path| {
+        let NalgExpr::Join { left, right, on } = node else {
+            return None;
         };
         if on.is_empty() {
-            continue;
+            return None;
         }
-        let Some((sl, al)) = spine(left) else {
-            continue;
-        };
-        let Some((sr, ar)) = spine(right) else {
-            continue;
-        };
+        let (sl, al) = spine(left)?;
+        let (sr, ar) = spine(right)?;
         let (keep_left, kept_aliases, dropped_aliases) =
             if sr.len() <= sl.len() && sl.starts_with(&sr) {
                 (true, &al, &ar)
             } else if sl.len() < sr.len() && sr.starts_with(&sl) {
                 (false, &ar, &al)
             } else {
-                continue;
+                return None;
             };
         let renames: Vec<(String, String)> = dropped_aliases
             .iter()
@@ -609,8 +722,7 @@ fn find_merge(e: &NalgExpr, ws: &WebScheme, stats: &SiteStatistics) -> Option<Me
             .collect();
         let rename_str = |s: &str| -> String {
             for (from, to) in &renames {
-                let prefix = format!("{from}.");
-                if let Some(rest) = s.strip_prefix(&prefix) {
+                if let Some(rest) = strip_alias(s, from) {
                     return format!("{to}.{rest}");
                 }
             }
@@ -619,12 +731,10 @@ fn find_merge(e: &NalgExpr, ws: &WebScheme, stats: &SiteStatistics) -> Option<Me
         // Join keys must coincide under the alias correspondence, and at
         // least one must be page-identifying.
         let mut any_key_like = false;
-        let mut ok = true;
         for (a, b) in on {
             let (a, b) = (rename_str(a), rename_str(b));
             if a != b {
-                ok = false;
-                break;
+                return None;
             }
             if a.ends_with(".URL") {
                 any_key_like = true;
@@ -635,10 +745,7 @@ fn find_merge(e: &NalgExpr, ws: &WebScheme, stats: &SiteStatistics) -> Option<Me
             // only non-optional attributes license a merge
             match field_of_column(ws, &aliases, &a) {
                 Ok(f) if !f.optional => {}
-                _ => {
-                    ok = false;
-                    break;
-                }
+                _ => return None,
             }
             if let Some(aref) = attr_ref_of(&aliases, &a) {
                 // key-like only meaningful for top-level attributes
@@ -647,11 +754,8 @@ fn find_merge(e: &NalgExpr, ws: &WebScheme, stats: &SiteStatistics) -> Option<Me
                 }
             }
         }
-        if ok && any_key_like {
-            return Some((path, keep_left, renames));
-        }
-    }
-    None
+        any_key_like.then(|| (path.to_vec(), keep_left, renames))
+    })
 }
 
 // --------------------------------------------------------------------------
@@ -689,34 +793,38 @@ pub fn join_rewrite_candidates(
 ) -> Vec<NalgExpr> {
     join_rewrite_candidates_tracked(e, ws, pointer_join, pointer_chase, &open_gate)
         .into_iter()
-        .map(|(c, _)| c)
+        .map(|(c, _, _)| c)
         .collect()
 }
+
+/// A rule-8/9 rewrite of a whole expression: the rewritten expression, the
+/// constraints that licensed it, and the rule that produced it.
+pub type JoinRewrite = (NalgExpr, Vec<ConstraintDependency>, RewriteRule);
 
 /// One-step applications of rule 8 (pointer join) and rule 9 (pointer
 /// chase) anywhere in the tree. Returns all rewritten whole expressions,
 /// each with the constraints that licensed it (rule 8: one link constraint
-/// per join pair; rule 9: additionally the inclusion it chased through);
-/// callers validate and cost them. Candidates that drop a branch whose
-/// columns are still referenced fail [`validate`] and are discarded there.
-/// Constraints the gate rejects license nothing.
-pub fn join_rewrite_candidates_tracked(
-    e: &NalgExpr,
+/// per join pair; rule 9: additionally the inclusion it chased through)
+/// and the rule applied; callers validate and cost them. Candidates that
+/// drop a branch whose columns are still referenced fail [`validate`] and
+/// are discarded there. Constraints the gate rejects license nothing.
+pub fn join_rewrite_candidates_tracked<'e>(
+    e: &'e NalgExpr,
     ws: &WebScheme,
     pointer_join: bool,
     pointer_chase: bool,
     gate: ConstraintGate<'_>,
-) -> Vec<(NalgExpr, Vec<ConstraintDependency>)> {
+) -> Vec<JoinRewrite> {
     let mut out = Vec::new();
     let Ok(aliases) = e.alias_map() else {
         return out;
     };
-    for path in all_paths(e) {
-        let NalgExpr::Join { left, right, on } = get_at(e, &path) else {
-            continue;
+    find_node(e, &mut |node: &'e NalgExpr, path| {
+        let NalgExpr::Join { left, right, on } = node else {
+            return None::<()>;
         };
         if on.is_empty() {
-            continue;
+            return None;
         }
         for follow_on_left in [true, false] {
             let (fside, oside): (&NalgExpr, &NalgExpr) = if follow_on_left {
@@ -725,16 +833,13 @@ pub fn join_rewrite_candidates_tracked(
                 (right, left)
             };
             // orient pairs as (followed-side attr, other-side attr)
-            let pairs: Vec<(String, String)> = on
-                .iter()
-                .map(|(a, b)| {
-                    if follow_on_left {
-                        (a.clone(), b.clone())
-                    } else {
-                        (b.clone(), a.clone())
-                    }
-                })
-                .collect();
+            let pair = |(a, b): &'e (String, String)| -> (&'e str, &'e str) {
+                if follow_on_left {
+                    (a, b)
+                } else {
+                    (b, a)
+                }
+            };
             let (core, stripped) = strip_unnests(fside);
             let NalgExpr::Follow {
                 input: r1,
@@ -747,7 +852,7 @@ pub fn join_rewrite_candidates_tracked(
             };
             // every followed-side join attr must be a top-level attribute
             // of the followed page (alias a3)
-            if !pairs.iter().all(|(f, _)| alias_of(f) == a3) {
+            if !on.iter().all(|p| alias_of(pair(p).0) == a3) {
                 continue;
             }
             let Ok(ocols) = oside.output_columns(ws) else {
@@ -769,7 +874,7 @@ pub fn join_rewrite_candidates_tracked(
                 // candidate's provenance
                 let mut pair_deps: Vec<ConstraintDependency> = Vec::new();
                 let mut licensed = true;
-                for (f, o) in &pairs {
+                for (f, o) in on.iter().map(pair) {
                     let (Some(fref), Some(oref)) =
                         (attr_ref_of(&aliases, f), attr_ref_of(&aliases, o))
                     else {
@@ -780,7 +885,7 @@ pub fn join_rewrite_candidates_tracked(
                     // plan would keep — refuse the rewrite (cf. rule 4)
                     let non_nullable = |col: &str| matches!(field_of_column(ws, &aliases, col), Ok(fld) if !fld.optional);
                     if !(fref.path.len() == 1
-                        && resolve_column(&ocols, o).is_ok()
+                        && resolves(&ocols, o)
                         && non_nullable(f)
                         && non_nullable(o))
                     {
@@ -810,7 +915,11 @@ pub fn join_rewrite_candidates_tracked(
                         join.follow_as(l1.clone(), target.clone(), a3.clone()),
                         &stripped,
                     );
-                    out.push((replace_at(e.clone(), &path, rewritten), pair_deps.clone()));
+                    out.push((
+                        with_node(e, path, rewritten),
+                        pair_deps.clone(),
+                        RewriteRule::PointerJoin,
+                    ));
                 }
                 if pointer_chase {
                     // Rule 9 additionally needs R2.L ⊆ R1.L.
@@ -818,13 +927,13 @@ pub fn join_rewrite_candidates_tracked(
                         continue;
                     };
                     if ws.inclusion_implied(&l2ref, &l1ref) {
-                        let mut deps = pair_deps.clone();
+                        let mut deps = pair_deps;
                         // A trivial self-inclusion (same link attribute on
                         // both sides) assumes nothing about the site.
                         if l2ref != l1ref {
                             let dep = ConstraintDependency::Inclusion(InclusionConstraint::new(
                                 l2ref.clone(),
-                                l1ref.clone(),
+                                l1ref,
                             ));
                             if !gate(&dep) {
                                 continue;
@@ -837,12 +946,17 @@ pub fn join_rewrite_candidates_tracked(
                                 .follow_as(l2col.clone(), target.clone(), a3.clone()),
                             &stripped,
                         );
-                        out.push((replace_at(e.clone(), &path, rewritten), deps));
+                        out.push((
+                            with_node(e, path, rewritten),
+                            deps,
+                            RewriteRule::PointerChase,
+                        ));
                     }
                 }
             }
         }
-    }
+        None
+    });
     out
 }
 
@@ -852,7 +966,7 @@ pub fn join_rewrite_candidates_tracked(
 
 /// Pushes every selection atom as deep as it can go, with every constraint
 /// admitted. See [`push_selections_tracked`].
-pub fn push_selections(e: &NalgExpr, ws: &WebScheme) -> Result<NalgExpr> {
+pub fn push_selections(e: NalgExpr, ws: &WebScheme) -> Result<NalgExpr> {
     push_selections_tracked(e, ws, &open_gate).map(|(out, _)| out)
 }
 
@@ -862,145 +976,132 @@ pub fn push_selections(e: &NalgExpr, ws: &WebScheme) -> Result<NalgExpr> {
 /// anchors. Returns the rewritten expression with the link constraints
 /// relied on (sorted, deduplicated). Constraints the gate rejects are not
 /// pushed through — the selection simply stays above the navigation.
+/// Rewrites in place: each atom is inserted where it lands, and nothing
+/// else is copied.
 pub fn push_selections_tracked(
-    e: &NalgExpr,
+    e: NalgExpr,
     ws: &WebScheme,
     gate: ConstraintGate<'_>,
 ) -> Result<(NalgExpr, Vec<ConstraintDependency>)> {
     let mut deps = Vec::new();
-    let out = push_sel(e, ws, gate, &mut deps)?;
+    let mut out = e;
+    push_sel(&mut out, ws, gate, &mut deps)?;
     deps.sort();
     deps.dedup();
     Ok((out, deps))
 }
 
+/// Pushes the selections of `e`, innermost first, each atom of a
+/// selection in turn.
 fn push_sel(
-    e: &NalgExpr,
+    e: &mut NalgExpr,
     ws: &WebScheme,
     gate: ConstraintGate<'_>,
     deps: &mut Vec<ConstraintDependency>,
-) -> Result<NalgExpr> {
-    Ok(match e {
-        NalgExpr::Select { input, pred } => {
-            let mut cur = push_sel(input, ws, gate, deps)?;
-            for atom in pred.conjuncts() {
-                cur = match sink(&cur, &atom, ws, gate, deps)? {
-                    Some(pushed) => pushed,
-                    None => cur.select(atom),
-                };
-            }
-            cur
+) -> Result<()> {
+    match e {
+        NalgExpr::Select { input, .. }
+        | NalgExpr::Project { input, .. }
+        | NalgExpr::Unnest { input, .. }
+        | NalgExpr::Follow { input, .. } => push_sel(input, ws, gate, deps)?,
+        NalgExpr::Join { left, right, .. } => {
+            push_sel(left, ws, gate, deps)?;
+            push_sel(right, ws, gate, deps)?;
         }
-        NalgExpr::Project { input, cols } => NalgExpr::Project {
-            input: Box::new(push_sel(input, ws, gate, deps)?),
-            cols: cols.clone(),
-        },
-        NalgExpr::Join { left, right, on } => NalgExpr::Join {
-            left: Box::new(push_sel(left, ws, gate, deps)?),
-            right: Box::new(push_sel(right, ws, gate, deps)?),
-            on: on.clone(),
-        },
-        NalgExpr::Unnest { input, attr } => NalgExpr::Unnest {
-            input: Box::new(push_sel(input, ws, gate, deps)?),
-            attr: attr.clone(),
-        },
-        NalgExpr::Follow {
-            input,
-            link,
-            target,
-            alias,
-        } => NalgExpr::Follow {
-            input: Box::new(push_sel(input, ws, gate, deps)?),
-            link: link.clone(),
-            target: target.clone(),
-            alias: alias.clone(),
-        },
-        leaf => leaf.clone(),
-    })
+        NalgExpr::Entry { .. } | NalgExpr::External { .. } => {}
+    }
+    let NalgExpr::Select { .. } = e else {
+        return Ok(());
+    };
+    let NalgExpr::Select { input, pred } = take(e) else {
+        unreachable!("checked above");
+    };
+    let mut cur = *input;
+    for atom in pred.conjuncts() {
+        let landing = match sink(&cur, &atom, ws, gate, deps)? {
+            Sunk::Lands(landing) => Some(landing),
+            Sunk::Stays(_) => None,
+        };
+        match landing {
+            Some((mut rev_path, landed)) => {
+                rev_path.reverse();
+                let slot = node_at_mut(&mut cur, &rev_path);
+                *slot = take(slot).select(landed);
+            }
+            None => cur = cur.select(atom),
+        }
+    }
+    *e = cur;
+    Ok(())
 }
 
-/// Tries to apply `atom` as deep as possible inside `e`. Returns the
-/// rewritten expression, or `None` if the atom's attributes do not resolve
-/// anywhere in `e`. Rule-6 pushes record the link constraint used.
-fn sink(
-    e: &NalgExpr,
+/// Where a selection atom goes, found by [`sink`].
+enum Sunk<'e> {
+    /// It lands inside the subtree, above the node at a child-index path
+    /// (listed leaf-side first), as the given atom — rule 6 rewrites it
+    /// onto source anchors on its way down.
+    Lands((Vec<usize>, Pred)),
+    /// It resolves nowhere in the subtree; the subtree's columns, so the
+    /// parent need not derive them again.
+    Stays(nalg::Result<NodeColumns<'e>>),
+}
+
+impl Sunk<'_> {
+    /// A landing inside input `i`, seen from the parent.
+    fn under(landing: (Vec<usize>, Pred), i: usize) -> Self {
+        let (mut rev_path, atom) = landing;
+        rev_path.push(i);
+        Sunk::Lands((rev_path, atom))
+    }
+}
+
+/// Finds where `atom` goes inside `e`: as deep as possible, first in the
+/// left input, else the right, else right above the node, and not at all
+/// if its attributes resolve nowhere in `e`. Rule-6 pushes record the link
+/// constraint used. Columns are derived bottom-up, once per node, and
+/// only for subtrees the atom does not land in.
+fn sink<'e>(
+    e: &'e NalgExpr,
     atom: &Pred,
     ws: &WebScheme,
     gate: ConstraintGate<'_>,
     deps: &mut Vec<ConstraintDependency>,
-) -> Result<Option<NalgExpr>> {
-    let resolves_here = |node: &NalgExpr| -> bool {
-        node.output_columns(ws)
-            .map(|cols| {
-                atom.attrs()
-                    .iter()
-                    .all(|a| resolve_column(&cols, a).is_ok())
-            })
-            .unwrap_or(false)
+) -> Result<Sunk<'e>> {
+    /// The input's columns, or the landing (returned) inside input `i`.
+    macro_rules! stays {
+        ($input:expr, $i:expr) => {
+            match sink($input, atom, ws, gate, deps)? {
+                Sunk::Lands(landing) => return Ok(Sunk::under(landing, $i)),
+                Sunk::Stays(cols) => cols,
+            }
+        };
+    }
+    let here = |cols: nalg::Result<NodeColumns<'e>>| -> Sunk<'e> {
+        match &cols {
+            Ok(c) if all_pred_refs(atom, &|a| resolves(&c.cols, a)) => {
+                Sunk::Lands((Vec::new(), atom.clone()))
+            }
+            _ => Sunk::Stays(cols),
+        }
     };
-    match e {
-        NalgExpr::Select { input, pred } => {
-            Ok(
-                sink(input, atom, ws, gate, deps)?.map(|new| NalgExpr::Select {
-                    input: Box::new(new),
-                    pred: pred.clone(),
-                }),
-            )
+    Ok(match e {
+        NalgExpr::Select { input, .. } | NalgExpr::Project { input, .. } => {
+            let cols = stays!(input, 0);
+            Sunk::Stays(e.column_step(ws, [cols]))
         }
-        NalgExpr::Project { input, cols } => {
-            Ok(
-                sink(input, atom, ws, gate, deps)?.map(|new| NalgExpr::Project {
-                    input: Box::new(new),
-                    cols: cols.clone(),
-                }),
-            )
+        NalgExpr::Join { left, right, .. } => {
+            let l = stays!(left, 0);
+            let r = stays!(right, 1);
+            here(e.column_step(ws, [l, r]))
         }
-        NalgExpr::Join { left, right, on } => {
-            if let Some(new_left) = sink(left, atom, ws, gate, deps)? {
-                return Ok(Some(NalgExpr::Join {
-                    left: Box::new(new_left),
-                    right: right.clone(),
-                    on: on.clone(),
-                }));
-            }
-            if let Some(new_right) = sink(right, atom, ws, gate, deps)? {
-                return Ok(Some(NalgExpr::Join {
-                    left: left.clone(),
-                    right: Box::new(new_right),
-                    on: on.clone(),
-                }));
-            }
-            if resolves_here(e) {
-                return Ok(Some(e.clone().select(atom.clone())));
-            }
-            Ok(None)
-        }
-        NalgExpr::Unnest { input, attr } => {
-            if let Some(new) = sink(input, atom, ws, gate, deps)? {
-                return Ok(Some(NalgExpr::Unnest {
-                    input: Box::new(new),
-                    attr: attr.clone(),
-                }));
-            }
-            if resolves_here(e) {
-                return Ok(Some(e.clone().select(atom.clone())));
-            }
-            Ok(None)
+        NalgExpr::Unnest { input, .. } => {
+            let cols = stays!(input, 0);
+            here(e.column_step(ws, [cols]))
         }
         NalgExpr::Follow {
-            input,
-            link,
-            target,
-            alias,
+            input, link, alias, ..
         } => {
-            if let Some(new) = sink(input, atom, ws, gate, deps)? {
-                return Ok(Some(NalgExpr::Follow {
-                    input: Box::new(new),
-                    link: link.clone(),
-                    target: target.clone(),
-                    alias: alias.clone(),
-                }));
-            }
+            let cols = stays!(input, 0);
             // Rule 6: a constant selection on a replicated target attribute
             // moves below the navigation, rewritten onto the source anchor.
             if let Pred::Eq(a, v) = atom {
@@ -1010,32 +1111,17 @@ fn sink(
                     {
                         deps.push(dep);
                         let new_atom = Pred::Eq(src_col, v.clone());
-                        let new_input = match sink(input, &new_atom, ws, gate, deps)? {
-                            Some(pushed) => pushed,
-                            None => input.as_ref().clone().select(new_atom),
-                        };
-                        return Ok(Some(NalgExpr::Follow {
-                            input: Box::new(new_input),
-                            link: link.clone(),
-                            target: target.clone(),
-                            alias: alias.clone(),
-                        }));
+                        return Ok(match sink(input, &new_atom, ws, gate, deps)? {
+                            Sunk::Lands(landing) => Sunk::under(landing, 0),
+                            Sunk::Stays(_) => Sunk::Lands((vec![0], new_atom)),
+                        });
                     }
                 }
             }
-            if resolves_here(e) {
-                return Ok(Some(e.clone().select(atom.clone())));
-            }
-            Ok(None)
+            here(e.column_step(ws, [cols]))
         }
-        leaf => {
-            if resolves_here(leaf) {
-                Ok(Some(leaf.clone().select(atom.clone())))
-            } else {
-                Ok(None)
-            }
-        }
-    }
+        NalgExpr::Entry { .. } | NalgExpr::External { .. } => here(e.column_step(ws, [])),
+    })
 }
 
 // --------------------------------------------------------------------------
@@ -1077,15 +1163,11 @@ pub fn prune_navigations_tracked(
     while let Some((path, substitutions, used)) = find_prune(&expr, ws, gate)? {
         deps.extend(used);
         for (from, to) in substitutions {
-            expr = substitute_attr(&expr, &from, &to);
+            substitute_attr(&mut expr, &from, &to);
         }
-        let node = get_at(&expr, &path).clone();
-        let replacement = match node {
-            NalgExpr::Follow { input, .. } => *input,
-            NalgExpr::Unnest { input, .. } => *input,
-            _ => break,
-        };
-        expr = replace_at(expr, &path, replacement);
+        if !splice_out(&mut expr, &path) {
+            break;
+        }
     }
     deps.sort();
     deps.dedup();
@@ -1100,8 +1182,9 @@ fn find_prune(
     gate: ConstraintGate<'_>,
 ) -> Result<Option<PruneAction>> {
     let aliases = e.alias_map().map_err(OptError::Eval)?;
-    for path in all_paths(e) {
-        match get_at(e, &path) {
+    let plan = Preorder::new(e);
+    for (i, node) in plan.nodes.iter().enumerate() {
+        match node {
             NalgExpr::Follow {
                 input, link, alias, ..
             } => {
@@ -1112,45 +1195,43 @@ fn find_prune(
                 if field.optional {
                     continue;
                 }
-                let prefix = format!("{alias}.");
-                let outside: Vec<String> = refs_excluding(e, &path)
-                    .into_iter()
-                    .filter(|r| r.starts_with(&prefix))
-                    .collect();
+                let mut outside: Vec<&str> = Vec::new();
+                plan.refs_outside(i, &mut |r| {
+                    if strip_alias(r, alias).is_some() {
+                        outside.push(r);
+                    }
+                });
                 if outside.is_empty() {
-                    return Ok(Some((path, vec![], vec![])));
+                    return Ok(Some((plan.path(i), vec![], vec![])));
                 }
                 // rule 7: try to replace each referenced target attribute
-                // with its replicated source anchor
-                let Ok(input_cols) = input.output_columns(ws) else {
-                    continue;
-                };
+                // with its replicated source anchor, which must resolve
+                // below the follow (its input's columns are derived only
+                // once every reference has an anchor)
                 let mut subs = Vec::new();
                 let mut used = Vec::new();
-                let mut all_replaceable = true;
-                for r in &outside {
-                    match constraint_source_col(ws, &aliases, link, r, gate) {
-                        Some((src, dep)) if resolve_column(&input_cols, &src).is_ok() => {
-                            subs.push((r.clone(), src));
-                            used.push(dep);
-                        }
-                        _ => {
-                            all_replaceable = false;
-                            break;
-                        }
-                    }
+                for &r in &outside {
+                    let Some((src, dep)) = constraint_source_col(ws, &aliases, link, r, gate)
+                    else {
+                        break;
+                    };
+                    subs.push((r.to_string(), src));
+                    used.push(dep);
                 }
-                if all_replaceable {
-                    return Ok(Some((path, subs, used)));
+                if subs.len() == outside.len()
+                    && matches!(input.output_columns(ws),
+                        Ok(cols) if subs.iter().all(|(_, src)| resolves(&cols, src)))
+                {
+                    return Ok(Some((plan.path(i), subs, used)));
                 }
             }
             NalgExpr::Unnest { attr, .. } => {
-                let prefix = format!("{attr}.");
-                let used = refs_excluding(e, &path)
-                    .into_iter()
-                    .any(|r| r.starts_with(&prefix) || r == *attr);
+                let mut used = false;
+                plan.refs_outside(i, &mut |r| {
+                    used |= r == attr || strip_alias(r, attr).is_some();
+                });
                 if !used {
-                    return Ok(Some((path, vec![], vec![])));
+                    return Ok(Some((plan.path(i), vec![], vec![])));
                 }
             }
             _ => {}
@@ -1179,6 +1260,14 @@ mod tests {
             .follow("ToProf", "ProfPage")
     }
 
+    /// The professor spine under aliases L2 and P2.
+    fn p2_spine() -> NalgExpr {
+        let mut e = prof_spine();
+        rename_alias(&mut e, "ProfPage", "P2");
+        rename_alias(&mut e, "ProfListPage", "L2");
+        e
+    }
+
     #[test]
     fn qualify_rewrites_leaf_references() {
         let ws = university_scheme();
@@ -1199,8 +1288,8 @@ mod tests {
     #[test]
     fn rename_alias_rewrites_refs_and_nodes() {
         let ws = university_scheme();
-        let e = qualify_expr(&prof_spine().project(vec!["ProfPage.PName"]), &ws).unwrap();
-        let r = rename_alias(&e, "ProfPage", "P2");
+        let mut r = qualify_expr(&prof_spine().project(vec!["ProfPage.PName"]), &ws).unwrap();
+        rename_alias(&mut r, "ProfPage", "P2");
         let NalgExpr::Project { cols, .. } = &r else {
             panic!()
         };
@@ -1212,16 +1301,29 @@ mod tests {
     #[test]
     fn tree_addressing_round_trip() {
         let e = prof_spine().join(NalgExpr::entry("DeptListPage"), vec![("x", "y")]);
-        let paths = all_paths(&e);
+        // preorder paths, as `find_node` visits and `Preorder` indexes them
+        let mut paths: Vec<Vec<usize>> = Vec::new();
+        find_node(&e, &mut |_, path| {
+            paths.push(path.to_vec());
+            None::<()>
+        });
         assert_eq!(paths.len(), e.size());
-        for p in &paths {
-            let _ = get_at(&e, p);
+        let plan = Preorder::new(&e);
+        for (i, p) in paths.iter().enumerate() {
+            assert_eq!(&plan.path(i), p);
         }
-        let replaced = replace_at(e.clone(), &[1], NalgExpr::entry("SessionListPage"));
+        let replaced = with_node(&e, &[1], NalgExpr::entry("SessionListPage"));
         let NalgExpr::Join { right, .. } = &replaced else {
             panic!()
         };
         assert_eq!(**right, NalgExpr::entry("SessionListPage"));
+        let mut spliced = e.clone();
+        assert!(splice_out(&mut spliced, &[0]));
+        assert!(!splice_out(&mut spliced, &[1]));
+        let NalgExpr::Join { left, .. } = &spliced else {
+            panic!()
+        };
+        assert_eq!(**left, NalgExpr::entry("ProfListPage").unnest("ProfList"));
     }
 
     #[test]
@@ -1229,15 +1331,7 @@ mod tests {
         let (ws, stats) = uni_fixtures();
         // Professor ⋈ ProfDept (nav 1) — both the same professor spine.
         let left = qualify_expr(&prof_spine(), &ws).unwrap();
-        let right = qualify_expr(
-            &rename_alias(
-                &rename_alias(&prof_spine(), "ProfPage", "P2"),
-                "ProfListPage",
-                "L2",
-            ),
-            &ws,
-        )
-        .unwrap();
+        let right = qualify_expr(&p2_spine(), &ws).unwrap();
         let joined = left
             .join(right, vec![("ProfPage.PName", "P2.PName")])
             .project(vec!["ProfPage.Rank".to_string(), "P2.DName".to_string()]);
@@ -1256,15 +1350,7 @@ mod tests {
         let (ws, stats) = uni_fixtures();
         // (ProfSpine ∘ CourseList) ⋈_{PName} ProfSpine: prefix case.
         let long = qualify_expr(&prof_spine().unnest("ProfPage.CourseList"), &ws).unwrap();
-        let short = qualify_expr(
-            &rename_alias(
-                &rename_alias(&prof_spine(), "ProfPage", "P2"),
-                "ProfListPage",
-                "L2",
-            ),
-            &ws,
-        )
-        .unwrap();
+        let short = qualify_expr(&p2_spine(), &ws).unwrap();
         let joined = long
             .join(short, vec![("ProfPage.PName", "P2.PName")])
             .project(vec![
@@ -1283,15 +1369,7 @@ mod tests {
         // merging the navigations would wrongly keep them.
         let (ws, stats) = uni_fixtures();
         let left = qualify_expr(&prof_spine(), &ws).unwrap();
-        let right = qualify_expr(
-            &rename_alias(
-                &rename_alias(&prof_spine(), "ProfPage", "P2"),
-                "ProfListPage",
-                "L2",
-            ),
-            &ws,
-        )
-        .unwrap();
+        let right = qualify_expr(&p2_spine(), &ws).unwrap();
         let joined = left
             .join(
                 right,
@@ -1310,15 +1388,7 @@ mod tests {
         let (ws, stats) = uni_fixtures();
         // joining two professor spines on Rank (non-key) must NOT merge
         let left = qualify_expr(&prof_spine(), &ws).unwrap();
-        let right = qualify_expr(
-            &rename_alias(
-                &rename_alias(&prof_spine(), "ProfPage", "P2"),
-                "ProfListPage",
-                "L2",
-            ),
-            &ws,
-        )
-        .unwrap();
+        let right = qualify_expr(&p2_spine(), &ws).unwrap();
         let joined = left
             .join(right, vec![("ProfPage.Rank", "P2.Rank")])
             .project(vec!["ProfPage.PName".to_string(), "P2.PName".to_string()]);
@@ -1338,7 +1408,7 @@ mod tests {
             &ws,
         )
         .unwrap();
-        let pushed = push_selections(&e, &ws).unwrap();
+        let pushed = push_selections(e, &ws).unwrap();
         assert!(validate(&pushed, &ws));
         // the selection must now sit below the follow, on the anchor
         let rendered = nalg::display::tree(&pushed);
@@ -1367,7 +1437,7 @@ mod tests {
             &ws,
         )
         .unwrap();
-        let pushed = push_selections(&e, &ws).unwrap();
+        let pushed = push_selections(e, &ws).unwrap();
         assert!(validate(&pushed, &ws));
         let rendered = nalg::display::inline(&pushed);
         // pushed all the way to the conference-list anchor
@@ -1394,7 +1464,7 @@ mod tests {
             &ws,
         )
         .unwrap();
-        let pushed = push_selections(&e, &ws).unwrap();
+        let pushed = push_selections(e, &ws).unwrap();
         let pruned = prune_navigations(pushed, &ws).unwrap();
         assert!(validate(&pruned, &ws));
         // the ToEdition navigation is gone
@@ -1591,8 +1661,8 @@ mod tests {
 
     #[test]
     fn substitute_attr_exact_only() {
-        let e = prof_spine().project(vec!["ProfPage.PName", "ProfPage.PName2"]);
-        let s = substitute_attr(&e, "ProfPage.PName", "X.Y");
+        let mut s = prof_spine().project(vec!["ProfPage.PName", "ProfPage.PName2"]);
+        substitute_attr(&mut s, "ProfPage.PName", "X.Y");
         let NalgExpr::Project { cols, .. } = &s else {
             panic!()
         };
@@ -1656,7 +1726,8 @@ mod tests {
         // Rule 8 records the licensing link constraint.
         let tracked = join_rewrite_candidates_tracked(&joined, &ws, true, false, &open_gate);
         assert!(!tracked.is_empty());
-        for (_, deps) in &tracked {
+        for (_, deps, rule) in &tracked {
+            assert_eq!(*rule, RewriteRule::PointerJoin);
             assert!(!deps.is_empty());
             assert!(deps
                 .iter()
@@ -1664,13 +1735,19 @@ mod tests {
         }
         // Rule 9 additionally records the inclusion it chases through.
         let chased = join_rewrite_candidates_tracked(&joined, &ws, false, true, &open_gate);
-        assert!(chased.iter().any(|(_, deps)| deps
+        assert!(chased
+            .iter()
+            .all(|(_, _, rule)| *rule == RewriteRule::PointerChase));
+        assert!(chased.iter().any(|(_, deps, _)| deps
             .iter()
             .any(|d| matches!(d, ConstraintDependency::Inclusion(_)))));
         // Provenance does not perturb the candidates themselves.
         let plain = join_rewrite_candidates(&joined, &ws, true, true);
         let both = join_rewrite_candidates_tracked(&joined, &ws, true, true, &open_gate);
-        assert_eq!(plain, both.into_iter().map(|(c, _)| c).collect::<Vec<_>>());
+        assert_eq!(
+            plain,
+            both.into_iter().map(|(c, _, _)| c).collect::<Vec<_>>()
+        );
     }
 
     #[test]
@@ -1690,13 +1767,13 @@ mod tests {
             &ws,
         )
         .unwrap();
-        let (pushed, deps) = push_selections_tracked(&e, &ws, &closed).unwrap();
+        let (pushed, deps) = push_selections_tracked(e.clone(), &ws, &closed).unwrap();
         assert!(deps.is_empty());
         assert!(
             !nalg::display::inline(&pushed).contains("DeptList.DName='Computer Science'"),
             "selection must not cross the follow under a closed gate"
         );
-        let (open_pushed, open_deps) = push_selections_tracked(&e, &ws, &open_gate).unwrap();
+        let (open_pushed, open_deps) = push_selections_tracked(e, &ws, &open_gate).unwrap();
         assert_eq!(open_deps.len(), 1);
         assert!(validate(&open_pushed, &ws));
         // Rule 7: the replicated-attribute navigation is kept.

@@ -245,7 +245,7 @@ impl NalgExpr {
         match self {
             NalgExpr::Entry { .. } => true,
             NalgExpr::External { .. } => false,
-            other => other.children().iter().all(|c| c.is_computable()),
+            other => other.inputs().all(|c| c.is_computable()),
         }
     }
 
@@ -253,7 +253,7 @@ impl NalgExpr {
     pub fn has_external(&self) -> bool {
         match self {
             NalgExpr::External { .. } => true,
-            other => other.children().iter().any(|c| c.has_external()),
+            other => other.inputs().any(|c| c.has_external()),
         }
     }
 
@@ -261,27 +261,19 @@ impl NalgExpr {
     pub fn externals(&self) -> Vec<&str> {
         match self {
             NalgExpr::External { name } => vec![name.as_str()],
-            other => other
-                .children()
-                .iter()
-                .flat_map(|c| c.externals())
-                .collect(),
+            other => other.inputs().flat_map(|c| c.externals()).collect(),
         }
     }
 
     /// Number of operator nodes (tree size).
     pub fn size(&self) -> usize {
-        1 + self.children().iter().map(|c| c.size()).sum::<usize>()
+        1 + self.inputs().map(|c| c.size()).sum::<usize>()
     }
 
     /// Number of follow-link operators (navigations).
     pub fn follow_count(&self) -> usize {
         let here = usize::from(matches!(self, NalgExpr::Follow { .. }));
-        here + self
-            .children()
-            .iter()
-            .map(|c| c.follow_count())
-            .sum::<usize>()
+        here + self.inputs().map(|c| c.follow_count()).sum::<usize>()
     }
 
     /// Rewrites the tree bottom-up: children first, then `f` on the node.
@@ -335,7 +327,7 @@ impl NalgExpr {
                     return Err(crate::EvalError::DuplicateAlias(alias.clone()));
                 }
             }
-            for c in e.children() {
+            for c in e.inputs() {
                 walk(c, map)?;
             }
             Ok(())
@@ -346,76 +338,163 @@ impl NalgExpr {
 
     /// The qualified output columns of this expression under a scheme.
     /// External leaves make this fail ([`crate::EvalError::NotComputable`]).
+    /// One bottom-up pass: each node is analysed once, by
+    /// [`NalgExpr::column_step`].
     pub fn output_columns(&self, ws: &WebScheme) -> crate::Result<Vec<String>> {
+        fn go<'e>(e: &'e NalgExpr, ws: &WebScheme) -> crate::Result<NodeColumns<'e>> {
+            e.column_step(ws, e.inputs().map(|c| go(c, ws)))
+        }
+        go(self, ws).map(|c| c.cols)
+    }
+
+    /// The direct children, left before right, without allocating.
+    pub fn inputs(&self) -> impl Iterator<Item = &NalgExpr> {
+        let (a, b): (Option<&NalgExpr>, Option<&NalgExpr>) = match self {
+            NalgExpr::Entry { .. } | NalgExpr::External { .. } => (None, None),
+            NalgExpr::Select { input, .. }
+            | NalgExpr::Project { input, .. }
+            | NalgExpr::Unnest { input, .. }
+            | NalgExpr::Follow { input, .. } => (Some(input), None),
+            NalgExpr::Join { left, right, .. } => (Some(left), Some(right)),
+        };
+        a.into_iter().chain(b)
+    }
+
+    /// This node's [`NodeColumns`], derived from its inputs' — the per-node
+    /// step of [`NalgExpr::output_columns`], for passes that walk a plan
+    /// bottom-up and carry each node's columns to its parent instead of
+    /// re-deriving them. `inputs` yields one result per child, left before
+    /// right, and is consumed lazily: a failed left input is returned
+    /// without pulling the right one. The result (columns or error) is the
+    /// one `output_columns` returns on this node.
+    pub fn column_step<'e>(
+        &'e self,
+        ws: &WebScheme,
+        inputs: impl IntoIterator<Item = crate::Result<NodeColumns<'e>>>,
+    ) -> crate::Result<NodeColumns<'e>> {
+        let mut inputs = inputs.into_iter();
+        let mut input = || inputs.next().expect("one input per child");
         match self {
-            NalgExpr::Entry { scheme, alias } => page_columns(ws, scheme, alias),
+            NalgExpr::Entry { scheme, alias } => Ok(NodeColumns {
+                cols: page_columns(ws, scheme, alias)?,
+                bindings: vec![(alias, scheme)],
+                duplicate: false,
+            }),
             NalgExpr::External { name } => Err(crate::EvalError::NotComputable(format!(
                 "external relation {name} has no navigational columns"
             ))),
-            NalgExpr::Select { input, .. } => input.output_columns(ws),
-            NalgExpr::Project { input, cols } => {
-                let in_cols = input.output_columns(ws)?;
-                cols.iter()
-                    .map(|c| resolve_column(&in_cols, c).map(|i| in_cols[i].clone()))
-                    .collect()
+            NalgExpr::Select { .. } => input(),
+            NalgExpr::Project { cols, .. } => {
+                let mut c = input()?;
+                c.cols = cols
+                    .iter()
+                    .map(|name| resolve_column(&c.cols, name).map(|i| c.cols[i].clone()))
+                    .collect::<crate::Result<_>>()?;
+                Ok(c)
             }
-            NalgExpr::Join { left, right, .. } => {
-                let mut cols = left.output_columns(ws)?;
-                cols.extend(right.output_columns(ws)?);
-                Ok(cols)
+            NalgExpr::Join { .. } => {
+                let mut l = input()?;
+                let r = input()?;
+                l.duplicate |= r.duplicate
+                    || r.bindings
+                        .iter()
+                        .any(|(a, _)| l.bindings.iter().any(|(b, _)| a == b));
+                l.cols.extend(r.cols);
+                l.bindings.extend(r.bindings);
+                Ok(l)
             }
-            NalgExpr::Unnest { input, attr } => {
-                let in_cols = input.output_columns(ws)?;
-                let i = resolve_column(&in_cols, attr)?;
-                let qualified = in_cols[i].clone();
-                let field = field_of_column(ws, &self.alias_map()?, &qualified)?;
+            NalgExpr::Unnest { attr, .. } => {
+                let mut c = input()?;
+                let i = resolve_column(&c.cols, attr)?;
+                if c.duplicate {
+                    return Err(self.duplicate_alias());
+                }
+                let field = field_in(ws, |a| c.scheme_of(a), &c.cols[i])?;
                 let inner = field.ty.list_fields().ok_or_else(|| {
                     crate::EvalError::Adm(AdmError::TypeMismatch {
-                        attr: qualified.clone(),
+                        attr: c.cols[i].clone(),
                         expected: "list",
                         found: field.ty.kind().to_string(),
                     })
                 })?;
-                let mut out: Vec<String> = in_cols
-                    .iter()
-                    .filter(|c| **c != qualified)
-                    .cloned()
-                    .collect();
-                out.extend(inner.iter().map(|f| format!("{qualified}.{}", f.name)));
-                Ok(out)
+                let qualified = c.cols.remove(i);
+                c.cols.retain(|col| *col != qualified);
+                c.cols
+                    .extend(inner.iter().map(|f| format!("{qualified}.{}", f.name)));
+                Ok(c)
             }
             NalgExpr::Follow {
-                input,
                 link,
                 target,
                 alias,
+                ..
             } => {
-                let in_cols = input.output_columns(ws)?;
-                let i = resolve_column(&in_cols, link)?;
-                let qualified = in_cols[i].clone();
-                let field = field_of_column(ws, &self.alias_map()?, &qualified)?;
+                let mut c = input()?;
+                let i = resolve_column(&c.cols, link)?;
+                if c.duplicate || c.scheme_of(alias).is_some() {
+                    return Err(self.duplicate_alias());
+                }
+                let scheme_of = |a: &str| {
+                    if a == alias {
+                        Some(target.as_str())
+                    } else {
+                        c.scheme_of(a)
+                    }
+                };
+                let field = field_in(ws, scheme_of, &c.cols[i])?;
                 match field.ty.link_target() {
                     Some(t) if t == target => {}
                     Some(t) => {
                         return Err(crate::EvalError::Adm(AdmError::TypeMismatch {
-                            attr: qualified,
+                            attr: c.cols[i].clone(),
                             expected: "link to the follow target",
                             found: format!("link to {t}"),
                         }))
                     }
                     None => {
                         return Err(crate::EvalError::Adm(AdmError::TypeMismatch {
-                            attr: qualified,
+                            attr: c.cols[i].clone(),
                             expected: "link",
                             found: field.ty.kind().to_string(),
                         }))
                     }
                 }
-                let mut cols = in_cols;
-                cols.extend(page_columns(ws, target, alias)?);
-                Ok(cols)
+                c.cols.extend(page_columns(ws, target, alias)?);
+                c.bindings.push((alias, target));
+                Ok(c)
             }
         }
+    }
+
+    /// The error [`NalgExpr::alias_map`] reports for a subtree known to
+    /// bind some alias twice.
+    fn duplicate_alias(&self) -> crate::EvalError {
+        match self.alias_map() {
+            Err(e) => e,
+            Ok(_) => unreachable!("the subtree binds an alias twice"),
+        }
+    }
+}
+
+/// What [`NalgExpr::output_columns`] knows about one node: its qualified
+/// output columns and the alias → page-scheme bindings of its subtree.
+/// [`NalgExpr::column_step`] derives a node's from its inputs'.
+#[derive(Debug, Clone)]
+pub struct NodeColumns<'e> {
+    /// The qualified output columns, in order.
+    pub cols: Vec<String>,
+    /// `(alias, page-scheme)` of every `Entry`/`Follow` node in the subtree.
+    bindings: Vec<(&'e str, &'e str)>,
+    /// Two nodes of the subtree bind the same alias.
+    duplicate: bool,
+}
+
+impl<'e> NodeColumns<'e> {
+    /// The page-scheme an alias of the subtree is bound to.
+    fn scheme_of(&self, alias: &str) -> Option<&'e str> {
+        self.bindings
+            .iter()
+            .find_map(|&(a, s)| (a == alias).then_some(s))
     }
 }
 
@@ -423,35 +502,62 @@ impl NalgExpr {
 /// top-level attribute (lists stay nested in a single column).
 pub fn page_columns(ws: &WebScheme, scheme: &str, alias: &str) -> crate::Result<Vec<String>> {
     let ps = ws.scheme(scheme)?;
-    let mut cols = vec![format!("{alias}.URL")];
+    let mut cols = Vec::with_capacity(ps.fields.len() + 1);
+    cols.push(format!("{alias}.URL"));
     cols.extend(ps.fields.iter().map(|f| format!("{alias}.{}", f.name)));
     Ok(cols)
+}
+
+/// True if `col` ends in `.name` (a dotted-suffix match).
+fn is_dotted_suffix(col: &str, name: &str) -> bool {
+    col.len() > name.len()
+        && col.ends_with(name)
+        && col.as_bytes()[col.len() - name.len() - 1] == b'.'
+}
+
+/// Where `name` resolves in `cols`: exact match, else unique dotted-suffix
+/// match.
+fn column_position(cols: &[String], name: &str) -> Option<usize> {
+    if let Some(i) = cols.iter().position(|c| c == name) {
+        return Some(i);
+    }
+    let mut hits = cols
+        .iter()
+        .enumerate()
+        .filter(|(_, c)| is_dotted_suffix(c, name));
+    match (hits.next(), hits.next()) {
+        (Some((i, _)), None) => Some(i),
+        _ => None,
+    }
 }
 
 /// Resolves a column name against a header: exact match, else unique
 /// dotted-suffix match (same rule as `adm::Relation::resolve`).
 pub fn resolve_column(cols: &[String], name: &str) -> crate::Result<usize> {
-    if let Some(i) = cols.iter().position(|c| c == name) {
-        return Ok(i);
-    }
-    let suffix = format!(".{name}");
-    let hits: Vec<usize> = cols
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.ends_with(&suffix))
-        .map(|(i, _)| i)
-        .collect();
-    match hits.len() {
-        1 => Ok(hits[0]),
-        0 => Err(crate::EvalError::Adm(AdmError::UnknownAttribute {
-            attr: name.to_string(),
-            within: format!("columns [{}]", cols.join(", ")),
-        })),
-        _ => Err(crate::EvalError::Adm(AdmError::AmbiguousAttribute {
-            attr: name.to_string(),
-            candidates: hits.iter().map(|&i| cols[i].clone()).collect(),
-        })),
-    }
+    column_position(cols, name).ok_or_else(|| {
+        let candidates: Vec<String> = cols
+            .iter()
+            .filter(|c| is_dotted_suffix(c, name))
+            .cloned()
+            .collect();
+        crate::EvalError::Adm(if candidates.is_empty() {
+            AdmError::UnknownAttribute {
+                attr: name.to_string(),
+                within: format!("columns [{}]", cols.join(", ")),
+            }
+        } else {
+            AdmError::AmbiguousAttribute {
+                attr: name.to_string(),
+                candidates,
+            }
+        })
+    })
+}
+
+/// Whether `name` resolves against `cols` — [`resolve_column`] for a yes/no
+/// answer, without building the error.
+pub fn resolves(cols: &[String], name: &str) -> bool {
+    column_position(cols, name).is_some()
 }
 
 /// Maps a fully qualified column (`alias.path…`) to its field definition.
@@ -461,22 +567,39 @@ pub fn field_of_column<'ws>(
     aliases: &HashMap<String, String>,
     qualified: &str,
 ) -> crate::Result<&'ws Field> {
-    let mut parts = qualified.split('.');
-    let alias = parts.next().unwrap_or("");
-    let path: Vec<&str> = parts.collect();
-    let scheme = aliases.get(alias).ok_or_else(|| {
+    field_in(ws, |a| aliases.get(a).map(String::as_str), qualified)
+}
+
+/// [`field_of_column`] with the alias bindings as a lookup function.
+fn field_in<'ws, 's>(
+    ws: &'ws WebScheme,
+    scheme_of: impl Fn(&str) -> Option<&'s str>,
+    qualified: &str,
+) -> crate::Result<&'ws Field> {
+    let (alias, path) = match qualified.split_once('.') {
+        Some((alias, path)) => (alias, Some(path)),
+        None => (qualified, None),
+    };
+    let scheme = scheme_of(alias).ok_or_else(|| {
         crate::EvalError::Adm(AdmError::UnknownAttribute {
             attr: qualified.to_string(),
             within: "alias map".to_string(),
         })
     })?;
-    if path.is_empty() || path == ["URL"] {
+    let Some(path) = path.filter(|p| *p != "URL") else {
         return Err(crate::EvalError::Adm(AdmError::UnknownAttribute {
             attr: qualified.to_string(),
             within: format!("page-scheme {scheme} (URL is implicit)"),
         }));
-    }
-    Ok(ws.scheme(scheme)?.resolve_path(&path)?)
+    };
+    let ps = ws.scheme(scheme)?;
+    // most paths are one or two segments deep: resolve them without
+    // collecting the segments
+    Ok(match path.split_once('.') {
+        None => ps.resolve_path(&[path])?,
+        Some((a, b)) if !b.contains('.') => ps.resolve_path(&[a, b])?,
+        Some(_) => ps.resolve_path(&path.split('.').collect::<Vec<_>>())?,
+    })
 }
 
 #[cfg(test)]
