@@ -295,12 +295,10 @@ fn for_each_pred_ref<'e>(p: &'e Pred, f: &mut impl FnMut(&'e str)) {
 }
 
 /// Whether every attribute reference of a predicate satisfies `f`.
-fn all_pred_refs(p: &Pred, f: &impl Fn(&str) -> bool) -> bool {
-    match p {
-        Pred::Eq(a, _) => f(a),
-        Pred::EqAttr(a, b) => f(a) && f(b),
-        Pred::And(ps) => ps.iter().all(|q| all_pred_refs(q, f)),
-    }
+fn all_pred_refs(p: &Pred, f: impl Fn(&str) -> bool) -> bool {
+    let mut all = true;
+    for_each_pred_ref(p, &mut |a| all &= f(a));
+    all
 }
 
 /// Calls `f` on each attribute reference a node itself carries (not its
@@ -380,89 +378,70 @@ impl<'e> Preorder<'e> {
 /// Rewrites every attribute reference into its fully qualified form by
 /// resolving it against the referencing operator's input columns.
 pub fn qualify_expr(e: &NalgExpr, ws: &WebScheme) -> Result<NalgExpr> {
-    qualify(e, ws).map(|(q, _)| q)
-}
-
-/// [`qualify_expr`] in one bottom-up pass: the qualified subexpression
-/// with the output columns (or the error deriving them) of `e`, which
-/// qualification leaves unchanged — each reference is replaced by the
-/// very column it resolves to.
-fn qualify<'e>(
-    e: &'e NalgExpr,
-    ws: &WebScheme,
-) -> Result<(NalgExpr, nalg::Result<NodeColumns<'e>>)> {
-    let q = |cols: &NodeColumns<'_>, name: &str| -> Result<String> {
-        let i = resolve_column(&cols.cols, name).map_err(OptError::Eval)?;
-        Ok(cols.cols[i].clone())
-    };
-    // an input's qualified form and its columns, which the parent needs
-    let input = |input: &'e NalgExpr| -> Result<(Box<NalgExpr>, NodeColumns<'e>)> {
-        let (qi, cols) = qualify(input, ws)?;
-        Ok((Box::new(qi), cols.map_err(OptError::Eval)?))
+    let q = |cols: &[String], name: &str| -> Result<String> {
+        let i = resolve_column(cols, name).map_err(OptError::Eval)?;
+        Ok(cols[i].clone())
     };
     Ok(match e {
-        NalgExpr::Entry { .. } | NalgExpr::External { .. } => (e.clone(), e.column_step(ws, [])),
-        NalgExpr::Select { input: i, pred } => {
-            let (qi, cols) = input(i)?;
+        NalgExpr::Entry { .. } | NalgExpr::External { .. } => e.clone(),
+        NalgExpr::Select { input, pred } => {
+            let qi = qualify_expr(input, ws)?;
+            let cols = qi.output_columns(ws).map_err(OptError::Eval)?;
             let pred = map_pred_fallible(pred, &|s| q(&cols, s))?;
-            let out = NalgExpr::Select { input: qi, pred };
-            (out, e.column_step(ws, [Ok(cols)]))
+            NalgExpr::Select {
+                input: Box::new(qi),
+                pred,
+            }
         }
-        NalgExpr::Project {
-            input: i,
-            cols: keep,
-        } => {
-            let (qi, cols) = input(i)?;
-            let keep = keep
+        NalgExpr::Project { input, cols } => {
+            let qi = qualify_expr(input, ws)?;
+            let in_cols = qi.output_columns(ws).map_err(OptError::Eval)?;
+            let cols = cols
                 .iter()
-                .map(|c| q(&cols, c))
+                .map(|c| q(&in_cols, c))
                 .collect::<Result<Vec<_>>>()?;
-            let out = NalgExpr::Project {
-                input: qi,
-                cols: keep,
-            };
-            (out, e.column_step(ws, [Ok(cols)]))
+            NalgExpr::Project {
+                input: Box::new(qi),
+                cols,
+            }
         }
         NalgExpr::Join { left, right, on } => {
-            let (ql, lcols) = qualify(left, ws)?;
-            let (qr, rcols) = qualify(right, ws)?;
-            let (lcols, rcols) = (
-                lcols.map_err(OptError::Eval)?,
-                rcols.map_err(OptError::Eval)?,
-            );
+            let ql = qualify_expr(left, ws)?;
+            let qr = qualify_expr(right, ws)?;
+            let lcols = ql.output_columns(ws).map_err(OptError::Eval)?;
+            let rcols = qr.output_columns(ws).map_err(OptError::Eval)?;
             let on = on
                 .iter()
                 .map(|(a, b)| Ok((q(&lcols, a)?, q(&rcols, b)?)))
                 .collect::<Result<Vec<_>>>()?;
-            let out = NalgExpr::Join {
+            NalgExpr::Join {
                 left: Box::new(ql),
                 right: Box::new(qr),
                 on,
-            };
-            (out, e.column_step(ws, [Ok(lcols), Ok(rcols)]))
+            }
         }
-        NalgExpr::Unnest { input: i, attr } => {
-            let (qi, cols) = input(i)?;
-            let out = NalgExpr::Unnest {
+        NalgExpr::Unnest { input, attr } => {
+            let qi = qualify_expr(input, ws)?;
+            let cols = qi.output_columns(ws).map_err(OptError::Eval)?;
+            NalgExpr::Unnest {
                 attr: q(&cols, attr)?,
-                input: qi,
-            };
-            (out, e.column_step(ws, [Ok(cols)]))
+                input: Box::new(qi),
+            }
         }
         NalgExpr::Follow {
-            input: i,
+            input,
             link,
             target,
             alias,
         } => {
-            let (qi, cols) = input(i)?;
-            let out = NalgExpr::Follow {
+            let qi = qualify_expr(input, ws)?;
+            let cols = qi.output_columns(ws).map_err(OptError::Eval)?;
+            NalgExpr::Follow {
                 link: q(&cols, link)?,
-                input: qi,
+                input: Box::new(qi),
                 target: target.clone(),
                 alias: alias.clone(),
-            };
-            (out, e.column_step(ws, [Ok(cols)]))
+            }
         }
     })
 }
@@ -488,7 +467,7 @@ pub fn validate(e: &NalgExpr, ws: &WebScheme) -> bool {
             NalgExpr::Entry { .. } | NalgExpr::External { .. } => e.column_step(ws, []),
             NalgExpr::Select { input, pred } => {
                 let cols = go(input, ws)?;
-                if !all_pred_refs(pred, &|a| resolves(&cols.cols, a)) {
+                if !all_pred_refs(pred, |a| resolves(&cols.cols, a)) {
                     return None;
                 }
                 e.column_step(ws, [Ok(cols)])
@@ -1019,13 +998,13 @@ fn push_sel(
     let mut cur = *input;
     for atom in pred.conjuncts() {
         let landing = match sink(&cur, &atom, ws, gate, deps)? {
-            Sunk::Lands(landing) => Some(landing),
+            Sunk::Lands { path, atom } => Some((path, atom)),
             Sunk::Stays(_) => None,
         };
         match landing {
-            Some((mut rev_path, landed)) => {
-                rev_path.reverse();
-                let slot = node_at_mut(&mut cur, &rev_path);
+            Some((mut path, landed)) => {
+                path.reverse();
+                let slot = node_at_mut(&mut cur, &path);
                 *slot = take(slot).select(landed);
             }
             None => cur = cur.select(atom),
@@ -1037,21 +1016,25 @@ fn push_sel(
 
 /// Where a selection atom goes, found by [`sink`].
 enum Sunk<'e> {
-    /// It lands inside the subtree, above the node at a child-index path
-    /// (listed leaf-side first), as the given atom — rule 6 rewrites it
+    /// It lands inside the subtree, above the node at a child-index
+    /// `path` (listed leaf-side first), as `atom` — rule 6 rewrites it
     /// onto source anchors on its way down.
-    Lands((Vec<usize>, Pred)),
+    Lands { path: Vec<usize>, atom: Pred },
     /// It resolves nowhere in the subtree; the subtree's columns, so the
     /// parent need not derive them again.
     Stays(nalg::Result<NodeColumns<'e>>),
 }
 
 impl Sunk<'_> {
-    /// A landing inside input `i`, seen from the parent.
-    fn under(landing: (Vec<usize>, Pred), i: usize) -> Self {
-        let (mut rev_path, atom) = landing;
-        rev_path.push(i);
-        Sunk::Lands((rev_path, atom))
+    /// This outcome for input `i`, seen from its parent.
+    fn under(self, i: usize) -> Self {
+        match self {
+            Sunk::Lands { mut path, atom } => {
+                path.push(i);
+                Sunk::Lands { path, atom }
+            }
+            stays => stays,
+        }
     }
 }
 
@@ -1071,16 +1054,17 @@ fn sink<'e>(
     macro_rules! stays {
         ($input:expr, $i:expr) => {
             match sink($input, atom, ws, gate, deps)? {
-                Sunk::Lands(landing) => return Ok(Sunk::under(landing, $i)),
                 Sunk::Stays(cols) => cols,
+                lands => return Ok(lands.under($i)),
             }
         };
     }
     let here = |cols: nalg::Result<NodeColumns<'e>>| -> Sunk<'e> {
         match &cols {
-            Ok(c) if all_pred_refs(atom, &|a| resolves(&c.cols, a)) => {
-                Sunk::Lands((Vec::new(), atom.clone()))
-            }
+            Ok(c) if all_pred_refs(atom, |a| resolves(&c.cols, a)) => Sunk::Lands {
+                path: Vec::new(),
+                atom: atom.clone(),
+            },
             _ => Sunk::Stays(cols),
         }
     };
@@ -1112,8 +1096,11 @@ fn sink<'e>(
                         deps.push(dep);
                         let new_atom = Pred::Eq(src_col, v.clone());
                         return Ok(match sink(input, &new_atom, ws, gate, deps)? {
-                            Sunk::Lands(landing) => Sunk::under(landing, 0),
-                            Sunk::Stays(_) => Sunk::Lands((vec![0], new_atom)),
+                            Sunk::Stays(_) => Sunk::Lands {
+                                path: vec![0],
+                                atom: new_atom,
+                            },
+                            lands => lands.under(0),
                         });
                     }
                 }

@@ -230,14 +230,20 @@ impl NalgExpr {
 
     /// Direct children.
     pub fn children(&self) -> Vec<&NalgExpr> {
-        match self {
-            NalgExpr::Entry { .. } | NalgExpr::External { .. } => vec![],
+        self.inputs().collect()
+    }
+
+    /// The direct children, left before right, without allocating.
+    pub fn inputs(&self) -> impl Iterator<Item = &NalgExpr> {
+        let (a, b): (Option<&NalgExpr>, Option<&NalgExpr>) = match self {
+            NalgExpr::Entry { .. } | NalgExpr::External { .. } => (None, None),
             NalgExpr::Select { input, .. }
             | NalgExpr::Project { input, .. }
             | NalgExpr::Unnest { input, .. }
-            | NalgExpr::Follow { input, .. } => vec![input],
-            NalgExpr::Join { left, right, .. } => vec![left, right],
-        }
+            | NalgExpr::Follow { input, .. } => (Some(input), None),
+            NalgExpr::Join { left, right, .. } => (Some(left), Some(right)),
+        };
+        a.into_iter().chain(b)
     }
 
     /// True if every leaf is an entry point (Section 4's computability).
@@ -345,19 +351,6 @@ impl NalgExpr {
             e.column_step(ws, e.inputs().map(|c| go(c, ws)))
         }
         go(self, ws).map(|c| c.cols)
-    }
-
-    /// The direct children, left before right, without allocating.
-    pub fn inputs(&self) -> impl Iterator<Item = &NalgExpr> {
-        let (a, b): (Option<&NalgExpr>, Option<&NalgExpr>) = match self {
-            NalgExpr::Entry { .. } | NalgExpr::External { .. } => (None, None),
-            NalgExpr::Select { input, .. }
-            | NalgExpr::Project { input, .. }
-            | NalgExpr::Unnest { input, .. }
-            | NalgExpr::Follow { input, .. } => (Some(input), None),
-            NalgExpr::Join { left, right, .. } => (Some(left), Some(right)),
-        };
-        a.into_iter().chain(b)
     }
 
     /// This node's [`NodeColumns`], derived from its inputs' — the per-node
