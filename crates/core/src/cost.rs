@@ -161,11 +161,6 @@ pub fn estimate(expr: &NalgExpr, ws: &adm::WebScheme, stats: &SiteStatistics) ->
     })
 }
 
-/// The columns a parent resolves against: the input's, or its error.
-fn cols_of(walked: nalg::Result<NodeColumns<'_>>) -> Result<NodeColumns<'_>> {
-    walked.map_err(OptError::Eval)
-}
-
 impl Estimator<'_> {
     fn key_for(&self, cols: &[String], attr: &str) -> Result<String> {
         let i = resolve_column(cols, attr).map_err(OptError::Eval)?;
@@ -235,13 +230,13 @@ impl Estimator<'_> {
             }
             NalgExpr::Select { input, pred } => {
                 let (card, cost, cols) = self.walk(input)?;
-                let cols = cols_of(cols)?;
+                let cols = cols.map_err(OptError::Eval)?;
                 let sel = self.pred_selectivity(&cols.cols, pred)?;
                 Ok((card * sel, cost, e.column_step(ws, [Ok(cols)])))
             }
             NalgExpr::Project { input, cols: keep } => {
                 let (card, cost, cols) = self.walk(input)?;
-                let cols = cols_of(cols)?;
+                let cols = cols.map_err(OptError::Eval)?;
                 let mut distinct = 1.0;
                 for c in keep {
                     let key = self.key_for(&cols.cols, c)?;
@@ -252,8 +247,8 @@ impl Estimator<'_> {
             NalgExpr::Join { left, right, on } => {
                 let (cl, costl, lcols) = self.walk(left)?;
                 let (cr, costr, rcols) = self.walk(right)?;
-                let lcols = cols_of(lcols)?;
-                let rcols = cols_of(rcols)?;
+                let lcols = lcols.map_err(OptError::Eval)?;
+                let rcols = rcols.map_err(OptError::Eval)?;
                 let mut sel = 1.0;
                 for (a, b) in on {
                     let ka = self.key_for(&lcols.cols, a)?;
@@ -265,7 +260,7 @@ impl Estimator<'_> {
             }
             NalgExpr::Unnest { input, attr } => {
                 let (card, cost, cols) = self.walk(input)?;
-                let cols = cols_of(cols)?;
+                let cols = cols.map_err(OptError::Eval)?;
                 let key = self.key_for(&cols.cols, attr)?;
                 let card = card * self.stats.fanout_of(&key);
                 Ok((card, cost, e.column_step(ws, [Ok(cols)])))
@@ -277,7 +272,7 @@ impl Estimator<'_> {
                 ..
             } => {
                 let (card, cost, cols) = self.walk(input)?;
-                let cols = cols_of(cols)?;
+                let cols = cols.map_err(OptError::Eval)?;
                 let key = self.key_for(&cols.cols, link)?;
                 let distinct_links = card.min(self.stats.distinct_of(&key)).max(0.0);
                 self.per_op
